@@ -40,8 +40,10 @@ import sys
 # artifact), so they are skipped with a note when the current run reports
 # hardware_concurrency < 2.  Under --enforce-scaling (the multi-core CI
 # bench job) they become hard floors.
-SCALING_FIELDS = {"eval_batch_speedup", "gp_fit_parallel_speedup"}
-SCALING_FLOORS = {"eval_batch_speedup": 2.0, "gp_fit_parallel_speedup": 1.5}
+SCALING_FIELDS = {"eval_batch_speedup", "gp_fit_parallel_speedup",
+                  "gp_predict_parallel_speedup"}
+SCALING_FLOORS = {"eval_batch_speedup": 2.0, "gp_fit_parallel_speedup": 1.5,
+                  "gp_predict_parallel_speedup": 2.0}
 
 # Same-binary, same-thread-count A/B ratios: machine-independent, enforced
 # whenever the current run reports them.

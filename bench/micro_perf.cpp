@@ -303,6 +303,48 @@ int main(int argc, char** argv) {
     std::cout << "  -> batched speedup: " << loop_ms / batch_ms << "x\n";
   }
 
+  // Multi-metric acquisition shape (table1 opamp2: 4 NeuK metrics, n=256,
+  // d=8, one NSGA-II generation of 24 queries): every metric's posterior in
+  // one pool pass, 1 worker vs 4.
+  double multi_predict_serial_ms = 0.0;
+  double multi_predict_par_ms = 0.0;
+  {
+    const std::size_t n = 256;
+    const std::size_t d = 8;
+    const std::size_t metrics = 4;
+    util::Rng rng(26);
+    gp::MultiGp multi(metrics, [&] {
+      kern::NeukConfig cfg;
+      return std::make_unique<kern::NeukKernel>(d, cfg, rng);
+    });
+    const auto x = random_points(n, d, 27);
+    la::Matrix y(n, metrics);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t m = 0; m < metrics; ++m)
+        y(i, m) = std::sin(3.0 * x(i, 0) + static_cast<double>(m)) + x(i, 1);
+    multi.set_data(x, y);
+    const auto q = random_points(24, d, 28);
+    const char* prev_threads = std::getenv("KATO_THREADS");
+    const std::string saved = prev_threads ? prev_threads : "";
+    std::tie(multi_predict_serial_ms, multi_predict_par_ms) = bench_ab(
+        "multigp_predict_batch_m4_threads1",
+        [&] {
+          setenv("KATO_THREADS", "1", 1);
+          sink(multi.predict_batch(q)[0][0].mean);
+        },
+        "multigp_predict_batch_m4_threads4",
+        [&] {
+          setenv("KATO_THREADS", "4", 1);
+          sink(multi.predict_batch(q)[0][0].mean);
+        });
+    if (prev_threads)
+      setenv("KATO_THREADS", saved.c_str(), 1);
+    else
+      unsetenv("KATO_THREADS");
+    std::cout << "  -> multigp predict pool speedup: "
+              << multi_predict_serial_ms / multi_predict_par_ms << "x\n";
+  }
+
   // MACE proposal generation over a fitted surrogate (the BO inner loop).
   {
     util::Rng rng(9);
@@ -977,6 +1019,11 @@ int main(int argc, char** argv) {
     out << "  \"gp_fit_fused_ms\": " << fit_ws_ms << ",\n";
     out << "  \"gp_fit_parallel_speedup\": "
         << (multi_par_ms > 0.0 ? multi_serial_ms / multi_par_ms : 0.0) << ",\n";
+    out << "  \"gp_predict_parallel_speedup\": "
+        << (multi_predict_par_ms > 0.0
+                ? multi_predict_serial_ms / multi_predict_par_ms
+                : 0.0)
+        << ",\n";
     out << "  \"abl_netlist_elaborate_ms\": " << netlist_elab_ms << ",\n";
     out << "  \"abl_corner_eval_ms\": " << corner_eval_ms << ",\n";
     out << "  \"abl_tran_step_ms\": " << tran_step_ms << ",\n";

@@ -19,12 +19,12 @@ std::vector<double> constraint_scales(const Surrogate& surrogate,
 
 /// Lift a per-candidate acquisition map (predictions -> objective vector)
 /// into the NSGA batch evaluator.  The surrogate posterior — the expensive
-/// stage — runs over the whole generation at once (one cross-covariance and
-/// one triangular solve per metric) and splits across KATO_THREADS workers
-/// inside predict_batch, writing per-candidate slots so any thread count
-/// produces bit-identical proposals.  The remaining acquisition arithmetic
-/// is a handful of flops per candidate: spawning threads for it would cost
-/// more than the work, so it stays a plain loop.
+/// stage — runs over the whole generation at once, as one KATO_THREADS pool
+/// pass over (metric x query range) cells inside predict_batch, writing
+/// per-candidate slots so any thread count produces bit-identical proposals.
+/// The remaining acquisition arithmetic is a handful of flops per candidate:
+/// spawning threads for it would cost more than the work, so it stays a plain
+/// loop.
 template <typename AcqFn>
 moo::BatchObjectiveFn batch_acquisition(const Surrogate& surrogate,
                                         AcqFn acquisition) {

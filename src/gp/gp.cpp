@@ -266,49 +266,53 @@ GpPrediction GaussianProcess::predict_std(std::span<const double> x) const {
   return {mean, var};
 }
 
-GpPrediction GaussianProcess::predict(std::span<const double> x) const {
-  GpPrediction p = predict_std(x);
+GpPrediction GaussianProcess::to_raw(GpPrediction p) const {
   p.mean = p.mean * y_sd_ + y_mean_;
   p.var *= y_sd_ * y_sd_;
   return p;
 }
 
+GpPrediction GaussianProcess::predict(std::span<const double> x) const {
+  return to_raw(predict_std(x));
+}
+
+void GaussianProcess::predict_std_rows(const la::Matrix& xq, std::size_t q0,
+                                       std::size_t q1,
+                                       std::span<GpPrediction> out) const {
+  const auto& p = posterior();
+  if (xq.cols() != kernel_->input_dim())
+    throw std::invalid_argument("predict_std_rows: dim mismatch");
+  const std::size_t n = x_.rows();
+  const std::size_t w = q1 - q0;
+  la::Matrix xb(w, xq.cols());
+  for (std::size_t j = 0; j < w; ++j) xb.set_row(j, xq.row(q0 + j));
+  // Kernels with an input transform (Neuk) embed the training set once per
+  // range instead of once per candidate.
+  const la::Matrix kx = kernel_->cross(xb, x_);  // w x n
+
+  // rhs = kx^T, then one forward sweep solves L V = rhs for all w candidates
+  // together; var = k(x,x) - ||v||^2 column-wise.
+  la::Matrix rhs(n, w);
+  for (std::size_t j = 0; j < w; ++j)
+    for (std::size_t k = 0; k < n; ++k) rhs(k, j) = kx(j, k);
+  const la::Matrix v = la::solve_lower_multi(p.chol_l, rhs);
+  la::Vector sumsq(w, 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto row = v.row(k);
+    for (std::size_t j = 0; j < w; ++j) sumsq[j] += row[j] * row[j];
+  }
+  for (std::size_t j = 0; j < w; ++j) {
+    const double mean = la::dot(kx.row(j), p.alpha);
+    const double var = std::max(kernel_->diag(xb.row(j)) - sumsq[j], 1e-12);
+    out[j] = {mean, var};
+  }
+}
+
 std::vector<GpPrediction> GaussianProcess::predict_std_batch(
     const la::Matrix& xq) const {
-  const auto& p = posterior();
-  const std::size_t n = x_.rows();
-  const std::size_t m = xq.rows();
-  std::vector<GpPrediction> out(m);
-  if (m == 0) return out;
-  if (xq.cols() != kernel_->input_dim())
-    throw std::invalid_argument("predict_std_batch: dim mismatch");
-
-  // One cross-covariance evaluation for the whole block: kernels with an
-  // input transform (Neuk) embed the training set once instead of once per
-  // candidate.
-  const la::Matrix kx = kernel_->cross(xq, x_);  // m x n
-
-  // Contiguous query ranges keep the result bit-identical at any thread
-  // count: every candidate's mean/variance depends only on its own column.
-  util::parallel_for(m, [&](std::size_t q0, std::size_t q1) {
-    const std::size_t w = q1 - q0;
-    // rhs = kx[q0:q1, :]^T, then one forward sweep solves L V = rhs for all
-    // w candidates together; var = k(x,x) - ||v||^2 column-wise.
-    la::Matrix rhs(n, w);
-    for (std::size_t q = q0; q < q1; ++q)
-      for (std::size_t k = 0; k < n; ++k) rhs(k, q - q0) = kx(q, k);
-    const la::Matrix v = la::solve_lower_multi(p.chol_l, rhs);
-    la::Vector sumsq(w, 0.0);
-    for (std::size_t k = 0; k < n; ++k) {
-      const auto row = v.row(k);
-      for (std::size_t j = 0; j < w; ++j) sumsq[j] += row[j] * row[j];
-    }
-    for (std::size_t q = q0; q < q1; ++q) {
-      const double mean = la::dot(kx.row(q), p.alpha);
-      const double var =
-          std::max(kernel_->diag(xq.row(q)) - sumsq[q - q0], 1e-12);
-      out[q] = {mean, var};
-    }
+  std::vector<GpPrediction> out(xq.rows());
+  util::parallel_for(xq.rows(), [&](std::size_t q0, std::size_t q1) {
+    predict_std_rows(xq, q0, q1, std::span(out).subspan(q0, q1 - q0));
   });
   return out;
 }
@@ -316,10 +320,7 @@ std::vector<GpPrediction> GaussianProcess::predict_std_batch(
 std::vector<GpPrediction> GaussianProcess::predict_batch(
     const la::Matrix& xq) const {
   auto out = predict_std_batch(xq);
-  for (auto& p : out) {
-    p.mean = p.mean * y_sd_ + y_mean_;
-    p.var *= y_sd_ * y_sd_;
-  }
+  for (auto& p : out) p = to_raw(p);
   return out;
 }
 
@@ -471,14 +472,40 @@ std::vector<GpPrediction> MultiGp::predict(std::span<const double> x) const {
   return out;
 }
 
+std::vector<std::vector<GpPrediction>> MultiGp::predict_std_batch(
+    const la::Matrix& xq) const {
+  const std::size_t n_q = xq.rows();
+  const std::size_t n_m = gps_.size();
+  std::vector<std::vector<GpPrediction>> out(n_q,
+                                             std::vector<GpPrediction>(n_m));
+  if (n_q == 0) return out;
+  // One pool pass over (metric x query range) cells.  With at least as many
+  // metrics as workers each cell is a whole metric; otherwise every metric's
+  // queries are split so that each worker still gets a cell.
+  const std::size_t workers = util::thread_count();
+  const std::size_t splits =
+      n_m < workers ? std::min(n_q, (workers + n_m - 1) / n_m) : 1;
+  const std::size_t rows_per_cell = (n_q + splits - 1) / splits;
+  util::parallel_for(n_m * splits, [&](std::size_t c0, std::size_t c1) {
+    std::vector<GpPrediction> block(rows_per_cell);
+    for (std::size_t c = c0; c < c1; ++c) {
+      const std::size_t m = c / splits;
+      const std::size_t q0 = (c % splits) * rows_per_cell;
+      const std::size_t q1 = std::min(q0 + rows_per_cell, n_q);
+      if (q0 >= q1) continue;
+      gps_[m].predict_std_rows(xq, q0, q1, std::span(block).first(q1 - q0));
+      for (std::size_t q = q0; q < q1; ++q) out[q][m] = block[q - q0];
+    }
+  });
+  return out;
+}
+
 std::vector<std::vector<GpPrediction>> MultiGp::predict_batch(
     const la::Matrix& xq) const {
-  std::vector<std::vector<GpPrediction>> out(xq.rows());
-  for (auto& row : out) row.reserve(gps_.size());
-  for (const auto& g : gps_) {
-    const auto preds = g.predict_batch(xq);
-    for (std::size_t q = 0; q < preds.size(); ++q) out[q].push_back(preds[q]);
-  }
+  auto out = predict_std_batch(xq);
+  for (auto& row : out)
+    for (std::size_t m = 0; m < row.size(); ++m)
+      row[m] = gps_[m].to_raw(row[m]);
   return out;
 }
 

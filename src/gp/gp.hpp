@@ -72,12 +72,22 @@ class GaussianProcess {
   GpPrediction predict_std(std::span<const double> x) const;
   /// Batched posterior for a whole query block (rows of xq), raw units.
   /// One kernel cross-covariance evaluation and one multi-RHS triangular
-  /// solve are shared across all candidates — agrees with per-point
-  /// predict() to numerical round-off but is several times cheaper.
-  /// Splits across KATO_THREADS workers deterministically.
+  /// solve per query range — agrees with per-point predict() to numerical
+  /// round-off but is several times cheaper.  The query ranges split across
+  /// KATO_THREADS workers; results are bit-identical at any thread count.
   std::vector<GpPrediction> predict_batch(const la::Matrix& xq) const;
   /// Batched posterior in standardized-target space.
   std::vector<GpPrediction> predict_std_batch(const la::Matrix& xq) const;
+  /// Standardized posterior of query rows [q0, q1) of xq, written to
+  /// out[0, q1 - q0): the rows' cross-covariance, one multi-RHS forward
+  /// solve, then mean and variance, all on the calling thread.  A row's
+  /// arithmetic depends only on that row, so any split of the queries into
+  /// ranges gives bit-identical results — the building block that
+  /// predict_std_batch and MultiGp::predict_std_batch fan out over the pool.
+  void predict_std_rows(const la::Matrix& xq, std::size_t q0, std::size_t q1,
+                        std::span<GpPrediction> out) const;
+  /// A standardized-space prediction mapped back to raw target units.
+  GpPrediction to_raw(GpPrediction p) const;
   /// Standardized posterior plus gradients d mean/dx and d var/dx
   /// (used by KAT-GP to backpropagate through the source GP).
   void predict_std_grad(std::span<const double> x, GpPrediction& pred,
@@ -177,6 +187,13 @@ class MultiGp {
   std::vector<GpPrediction> predict(std::span<const double> x) const;
   /// Batched prediction: out[q][m] is metric m's posterior at query row q.
   std::vector<std::vector<GpPrediction>> predict_batch(const la::Matrix& xq) const;
+  /// predict_batch in each metric's standardized-target space.  One pool
+  /// pass over (metric x query range) cells, each running
+  /// GaussianProcess::predict_std_rows; query ranges are split only when
+  /// there are fewer metrics than KATO_THREADS workers.  Bit-identical to
+  /// each metric's own predict_std_batch at any thread count.
+  std::vector<std::vector<GpPrediction>> predict_std_batch(
+      const la::Matrix& xq) const;
 
   std::size_t n_metrics() const { return gps_.size(); }
   GaussianProcess& metric(std::size_t i) { return gps_[i]; }

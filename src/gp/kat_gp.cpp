@@ -436,15 +436,14 @@ std::vector<std::vector<GpPrediction>> KatGp::predict_batch(
     enc.set_row(i, e);
   }
 
-  // Batched source posterior: one cross-covariance + triangular solve per
-  // source metric instead of one per metric per candidate.
+  // Batched source posterior: every source metric in one pool pass.
+  const auto src = source_->predict_std_batch(enc);
   la::Matrix mu_s(q, m_s);
   la::Matrix v_s(q, m_s);
-  for (std::size_t k = 0; k < m_s; ++k) {
-    const auto preds = source_->metric(k).predict_std_batch(enc);
-    for (std::size_t i = 0; i < q; ++i) {
-      mu_s(i, k) = preds[i].mean;
-      v_s(i, k) = preds[i].var;
+  for (std::size_t i = 0; i < q; ++i) {
+    for (std::size_t k = 0; k < m_s; ++k) {
+      mu_s(i, k) = src[i][k].mean;
+      v_s(i, k) = src[i][k].var;
     }
   }
 

@@ -79,16 +79,27 @@ TEST(KatoOptimizer, SeedReproducibleTrace) {
   const auto r1 = run(nullptr);
   const auto r2 = run(nullptr);
   const auto r3 = run("4");
+  // Three workers over four metrics: an uneven split of the acquisition's
+  // (metric x query range) cells.
+  const auto r4 = run("3");
 
   ASSERT_EQ(r1.trace.size(), r2.trace.size());
+  ASSERT_EQ(r1.trace.size(), r3.trace.size());
+  ASSERT_EQ(r1.trace.size(), r4.trace.size());
   for (std::size_t i = 0; i < r1.trace.size(); ++i) {
     EXPECT_EQ(r1.trace[i], r2.trace[i]) << "sim " << i;
-    EXPECT_EQ(r1.trace[i], r3.trace[i]) << "sim " << i << " (threaded)";
+    EXPECT_EQ(r1.trace[i], r3.trace[i]) << "sim " << i << " (4 threads)";
+    EXPECT_EQ(r1.trace[i], r4.trace[i]) << "sim " << i << " (3 threads)";
   }
   ASSERT_EQ(r1.x_history.size(), r2.x_history.size());
+  ASSERT_EQ(r1.x_history.size(), r3.x_history.size());
+  ASSERT_EQ(r1.x_history.size(), r4.x_history.size());
   for (std::size_t i = 0; i < r1.x_history.size(); ++i) {
     EXPECT_EQ(r1.x_history[i], r2.x_history[i]) << "sim " << i;
-    EXPECT_EQ(r1.x_history[i], r3.x_history[i]) << "sim " << i << " (threaded)";
+    EXPECT_EQ(r1.x_history[i], r3.x_history[i])
+        << "sim " << i << " (4 threads)";
+    EXPECT_EQ(r1.x_history[i], r4.x_history[i])
+        << "sim " << i << " (3 threads)";
   }
   EXPECT_EQ(r1.best_x, r2.best_x);
 }

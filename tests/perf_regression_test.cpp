@@ -193,6 +193,95 @@ TEST(PredictBatch, KatGpAgreesWithPerPointLoop) {
   }
 }
 
+namespace {
+
+/// NeuK MultiGp on a d-dimensional toy set, one target column per metric.
+gp::MultiGp neuk_multi_gp(std::size_t metrics, std::size_t d,
+                          kato::util::Rng& rng) {
+  gp::MultiGp multi(metrics, [&] {
+    kern::NeukConfig cfg;
+    return std::make_unique<kern::NeukKernel>(d, cfg, rng);
+  });
+  const std::size_t n = 36;
+  const la::Matrix x = random_points(n, d, rng);
+  la::Matrix y(n, metrics);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t m = 0; m < metrics; ++m)
+      y(i, m) = std::sin(3.0 * x(i, 0) + static_cast<double>(m)) + x(i, 1);
+  multi.set_data(x, y);
+  return multi;
+}
+
+}  // namespace
+
+// Metric counts 1, 2, 4 and 5 against 1-4 workers cover fewer metrics than
+// workers (split query ranges), equal, more, and an uneven metric split.
+TEST(PredictBatch, MultiGpBitIdenticalAcrossThreadCounts) {
+  for (const std::size_t metrics : {1u, 2u, 4u, 5u}) {
+    kato::util::Rng rng(60 + metrics);
+    const auto multi = neuk_multi_gp(metrics, 4, rng);
+    const auto q = random_points(13, 4, rng);
+
+    std::vector<std::vector<gp::GpPrediction>> per_metric;
+    {
+      ThreadsEnv env("1");
+      for (std::size_t m = 0; m < metrics; ++m)
+        per_metric.push_back(multi.metric(m).predict_batch(q));
+    }
+    for (const char* threads : {"1", "2", "3", "4"}) {
+      ThreadsEnv env(threads);
+      const auto batch = multi.predict_batch(q);
+      ASSERT_EQ(batch.size(), q.rows());
+      for (std::size_t i = 0; i < q.rows(); ++i) {
+        ASSERT_EQ(batch[i].size(), metrics);
+        for (std::size_t m = 0; m < metrics; ++m) {
+          EXPECT_EQ(batch[i][m].mean, per_metric[m][i].mean)
+              << metrics << " metrics, threads " << threads << ", query " << i;
+          EXPECT_EQ(batch[i][m].var, per_metric[m][i].var)
+              << metrics << " metrics, threads " << threads << ", query " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(PredictBatch, KatGpBitIdenticalAcrossThreadCounts) {
+  for (const std::size_t metrics : {1u, 2u, 4u, 5u}) {
+    kato::util::Rng rng(70 + metrics);
+    const auto source = neuk_multi_gp(metrics, 4, rng);
+    gp::KatGp kat(&source, 3, 2, gp::KatGpConfig{}, rng);
+    const std::size_t n_tgt = 12;
+    const la::Matrix xt = random_points(n_tgt, 3, rng);
+    la::Matrix yt(n_tgt, 2);
+    for (std::size_t i = 0; i < n_tgt; ++i) {
+      yt(i, 0) = std::sin(4.0 * xt(i, 0)) + xt(i, 1);
+      yt(i, 1) = xt(i, 2);
+    }
+    kat.set_target_data(xt, yt);
+    const auto q = random_points(13, 3, rng);
+
+    std::vector<std::vector<gp::GpPrediction>> single;
+    {
+      ThreadsEnv env("1");
+      single = kat.predict_batch(q);
+    }
+    for (const char* threads : {"2", "3", "4"}) {
+      ThreadsEnv env(threads);
+      const auto batch = kat.predict_batch(q);
+      ASSERT_EQ(batch.size(), single.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        ASSERT_EQ(batch[i].size(), single[i].size());
+        for (std::size_t m = 0; m < batch[i].size(); ++m) {
+          EXPECT_EQ(batch[i][m].mean, single[i][m].mean)
+              << metrics << " source metrics, threads " << threads;
+          EXPECT_EQ(batch[i][m].var, single[i][m].var)
+              << metrics << " source metrics, threads " << threads;
+        }
+      }
+    }
+  }
+}
+
 TEST(ThreadedMace, ProposalsBitIdenticalToSingleThread) {
   const auto surr = fitted_surrogate(48);
   const std::vector<kato::ckt::MetricSpec> specs{{"c0", "", 0.5, true}};
