@@ -46,8 +46,11 @@ SCALING_FLOORS = {"eval_batch_speedup": 2.0, "gp_fit_parallel_speedup": 1.5,
                   "gp_predict_parallel_speedup": 2.0}
 
 # Same-binary, same-thread-count A/B ratios: machine-independent, enforced
-# whenever the current run reports them.
-SPEEDUP_FLOORS = {"device_table_speedup": 3.0}
+# whenever the current run reports them.  gp_refresh_reuse_speedup is a NeuK
+# posterior refresh at n=256 after new hyperparameters over one after a
+# 4-row window shift that reuses the rest of the kernel matrix.
+SPEEDUP_FLOORS = {"device_table_speedup": 3.0,
+                  "gp_refresh_reuse_speedup": 2.0}
 
 # Overhead ratios (`*_ratio` fields, current/reference arms interleaved in
 # the same binary): machine-independent ceilings, enforced whenever the

@@ -1,6 +1,7 @@
 // Microbenchmarks for the hot paths: Neuk kernel-matrix construction and
-// backward pass, dense matmul/Cholesky, GP fit step, per-point vs batched GP
-// prediction, MACE proposal generation, MNA circuit evaluation and NSGA-II.
+// backward pass, dense matmul/Cholesky, GP fit step, GP posterior refresh,
+// per-point vs batched GP prediction, MACE proposal generation, MNA circuit
+// evaluation and NSGA-II.
 //
 // Usage:
 //   micro_perf             human-readable table
@@ -193,6 +194,54 @@ int main(int argc, char** argv) {
       model.fit(opts, rng);
       sink(model.noise_var());
     });
+  }
+
+  // Posterior refresh of one NeuK metric at n=256, d=8: after new
+  // hyperparameters (full kernel matrix) vs after a 4-row window shift at
+  // unchanged hyperparameters (4 rows dropped, 4 new rows evaluated, the
+  // rest of K reused from the previous refresh).  Both arms factor K.
+  double refresh_new_ms = 0.0;
+  double refresh_window_ms = 0.0;
+  {
+    const std::size_t n = 256;
+    const std::size_t d = 8;
+    const std::size_t shift = 4;
+    const auto pool = random_points(n + shift, d, 29);
+    auto window = [&](std::size_t first) {
+      la::Matrix x(n, d);
+      la::Vector y(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x.set_row(i, pool.row(first + i));
+        y[i] = std::sin(3.0 * x(i, 0)) + x(i, 1);
+      }
+      return std::pair(x, y);
+    };
+    const auto [xa, ya] = window(0);
+    const auto [xb, yb] = window(shift);
+    util::Rng rng(30);
+    kern::NeukConfig cfg;
+    gp::GaussianProcess hypers(std::make_unique<kern::NeukKernel>(d, cfg, rng));
+    hypers.set_data(xa, ya);
+    gp::GaussianProcess windowed = hypers;
+    const double p0 = hypers.kernel().params()[0];
+    bool new_hypers = false;
+    bool shifted = false;
+    std::tie(refresh_new_ms, refresh_window_ms) = bench_ab(
+        "gp_refresh_new_hypers_n256",
+        [&] {
+          new_hypers = !new_hypers;
+          hypers.kernel().params()[0] = new_hypers ? p0 + 1e-3 : p0;
+          hypers.set_data(xa, ya);
+          sink(hypers.y_mean());
+        },
+        "gp_refresh_window_n256",
+        [&] {
+          shifted = !shifted;
+          windowed.set_data(shifted ? xb : xa, shifted ? yb : ya);
+          sink(windowed.y_mean());
+        });
+    std::cout << "  -> refresh reuse speedup: "
+              << refresh_new_ms / refresh_window_ms << "x\n";
   }
 
   // GP training loop: the pre-PR reference path (per-entry kernel forward +
@@ -1015,6 +1064,9 @@ int main(int argc, char** argv) {
         << (batch_ms > 0.0 ? loop_ms / batch_ms : 0.0) << ",\n";
     out << "  \"gp_fit_speedup\": "
         << (fit_ws_ms > 0.0 ? fit_ref_ms / fit_ws_ms : 0.0) << ",\n";
+    out << "  \"gp_refresh_reuse_speedup\": "
+        << (refresh_window_ms > 0.0 ? refresh_new_ms / refresh_window_ms : 0.0)
+        << ",\n";
     out << "  \"gp_fit_ref_ms\": " << fit_ref_ms << ",\n";
     out << "  \"gp_fit_fused_ms\": " << fit_ws_ms << ",\n";
     out << "  \"gp_fit_parallel_speedup\": "

@@ -521,7 +521,8 @@ RunResult run_constrained(const ckt::SizingCircuit& circuit,
         break;
       }
       case ConstrainedMethod::mesmoc: {
-        // Exploitation-heavy feasible lower-confidence-bound (see DESIGN.md).
+        // Exploitation-heavy feasible lower-confidence-bound (see PAPER.md,
+        // "Reproduction substitutions").
         auto pool = candidate_pool(seeds, dim, rng);
         const auto all_preds =
             self_model->predict_batch(la::Matrix::from_points(pool));
@@ -574,7 +575,8 @@ RunResult run_constrained(const ckt::SizingCircuit& circuit,
 namespace {
 
 /// GP surrogate whose mean is offset by a frozen source model — the
-/// TLMBO-lite technology-transfer baseline (see DESIGN.md).
+/// TLMBO-lite technology-transfer baseline (see PAPER.md, "Reproduction
+/// substitutions").
 class ResidualSurrogate final : public Surrogate {
  public:
   ResidualSurrogate(const gp::MultiGp* source, std::size_t dim,

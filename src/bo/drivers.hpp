@@ -6,13 +6,15 @@
 //   Methods: KATO (NeukGP + Eq. 13 ensemble), MACE (RBF GP + acquisition
 //   ensemble, Lyu et al. 2018), SMAC-RF (random forest + EI), random search,
 //   and TLMBO-lite (GP with a source-model mean prior — the Gaussian-copula
-//   technology-transfer baseline, see DESIGN.md).
+//   technology-transfer baseline, see PAPER.md "Reproduction
+//   substitutions").
 //
 // Constrained mode (Secs. 4.2-4.3, Figs. 5-6, Tables 1-2): minimize
 //   metrics[0] subject to the circuit's specs.  Methods: KATO (modified
 //   MACE, optional KAT-GP transfer with Selective Transfer Learning,
 //   Alg. 1), full 6-objective MACE, MESMOC-lite (exploitation-heavy
-//   feasible-LCB) and USEMOC-lite (uncertainty-driven), per DESIGN.md.
+//   feasible-LCB) and USEMOC-lite (uncertainty-driven), per PAPER.md
+//   "Reproduction substitutions".
 //
 // Every driver consumes an explicit seed and returns the per-simulation
 // running-best trace that the figure benches aggregate across seeds.

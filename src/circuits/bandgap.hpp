@@ -3,7 +3,8 @@
 //
 // Implementation: a PTAT/CTAT bandgap core with a real 5-transistor OTA as
 // the error amplifier (the paper's schematic is a larger industrial cell;
-// this core preserves the same design trade-offs — see DESIGN.md):
+// this core preserves the same design trade-offs — see PAPER.md,
+// "Reproduction substitutions"):
 //   * three matched PMOS mirror branches from VDD (two core, one output),
 //   * branch 1: diode D1 (area 1); branch 2: R1 in series with D2 (area 8),
 //   * the OTA drives the mirror gate so V(x1) = V(x2), making the branch

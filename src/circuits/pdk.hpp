@@ -7,7 +7,7 @@
 // values are set to textbook-typical numbers for each node so that the
 // sizing trade-offs (gain vs. current, bandwidth vs. stability, node-to-node
 // shifts in optimal sizing) have the right shape and direction.  See
-// DESIGN.md ("Reproduction substitutions").
+// PAPER.md ("Reproduction substitutions").
 
 #include <string>
 

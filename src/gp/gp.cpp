@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 #include "nn/mlp.hpp"
 #include "obs/obs.hpp"
@@ -30,6 +33,7 @@ GaussianProcess::GaussianProcess(const GaussianProcess& other)
       y_mean_(other.y_mean_),
       y_sd_(other.y_sd_),
       post_(other.post_),
+      kcache_(other.kcache_),
       fit_info_(other.fit_info_) {}
 
 GaussianProcess& GaussianProcess::operator=(const GaussianProcess& other) {
@@ -41,6 +45,7 @@ GaussianProcess& GaussianProcess::operator=(const GaussianProcess& other) {
   y_mean_ = other.y_mean_;
   y_sd_ = other.y_sd_;
   post_ = other.post_;
+  kcache_ = other.kcache_;
   fit_info_ = other.fit_info_;
   return *this;
 }
@@ -114,40 +119,9 @@ double GaussianProcess::nll_and_grad_ws(FitScratch& s, const la::Vector& y,
   const double nll = 0.5 * la::dot(y, s.alpha) + 0.5 * logdet +
                      0.5 * static_cast<double>(n) * std::log(k_two_pi);
 
-  // dNLL/dK = 0.5 (K^-1 - alpha alpha^T), with K^-1(i,j) = <t_i, t_j> over
-  // the triangular support of T = (L^-1)^T — the inverse is contracted
-  // directly into dK, never materialized on its own.
+  // dNLL/dK = 0.5 (K^-1 - alpha alpha^T), contracted from T = (L^-1)^T.
   la::lower_inverse_transposed_into(s.l, s.t);
-  if (s.dk.rows() != n || s.dk.cols() != n) s.dk = la::Matrix(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ti = s.t.data().data() + i * n;
-    const double ai = s.alpha[i];
-    std::size_t j = 0;
-    for (; j + 1 <= i; j += 2) {  // two columns share each ti load
-      const double* tj0 = s.t.data().data() + j * n;
-      const double* tj1 = s.t.data().data() + (j + 1) * n;
-      double k0 = 0.0;
-      double k1 = 0.0;
-      for (std::size_t k = i; k < n; ++k) {
-        k0 += ti[k] * tj0[k];
-        k1 += ti[k] * tj1[k];
-      }
-      const double v0 = 0.5 * (k0 - ai * s.alpha[j]);
-      const double v1 = 0.5 * (k1 - ai * s.alpha[j + 1]);
-      s.dk(i, j) = v0;
-      s.dk(j, i) = v0;
-      s.dk(i, j + 1) = v1;
-      s.dk(j + 1, i) = v1;
-    }
-    for (; j <= i; ++j) {
-      const double* tj = s.t.data().data() + j * n;
-      double kinv_ij = 0.0;
-      for (std::size_t k = i; k < n; ++k) kinv_ij += ti[k] * tj[k];
-      const double v = 0.5 * (kinv_ij - ai * s.alpha[j]);
-      s.dk(i, j) = v;
-      s.dk(j, i) = v;
-    }
-  }
+  la::half_kinv_minus_outer_into(s.t, s.alpha, s.dk);
 
   grad.assign(kernel_->n_params() + 1, 0.0);
   kernel_->backward_ws(*s.ws, s.dk,
@@ -227,21 +201,93 @@ void GaussianProcess::fit(const GpFitOptions& opts, util::Rng& rng) {
   refresh_posterior();
 }
 
-void GaussianProcess::refresh_posterior() {
+void GaussianProcess::update_kernel_matrix() {
   const std::size_t n = x_.rows();
-  la::Matrix k = kernel_->matrix(x_);
+  const std::size_t d = x_.cols();
+  const auto params = kernel_->params();
+  const bool same_hypers =
+      kcache_.params.size() == params.size() &&
+      std::memcmp(kcache_.params.data(), params.data(),
+                  params.size() * sizeof(double)) == 0 &&
+      std::memcmp(&kcache_.log_noise, &log_noise_, sizeof(double)) == 0;
+
+  // Pair each row with a distinct cached row of the same bytes (duplicates
+  // pair one to one, so an off-diagonal entry never picks up the noise of a
+  // cached diagonal); unpaired rows are `fresh`.
+  constexpr std::size_t k_fresh = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> old_row(n, k_fresh);
+  std::vector<std::size_t> fresh;
+  if (same_hypers) {
+    const auto bytes = [d](const la::Matrix& m, std::size_t r) {
+      return std::string_view(
+          reinterpret_cast<const char*>(m.data().data() + r * d),
+          d * sizeof(double));
+    };
+    std::unordered_map<std::string_view, std::vector<std::size_t>> cached;
+    for (std::size_t r = kcache_.x.rows(); r-- > 0;)
+      cached[bytes(kcache_.x, r)].push_back(r);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto it = cached.find(bytes(x_, i));
+      if (it == cached.end() || it->second.empty()) {
+        fresh.push_back(i);
+        continue;
+      }
+      old_row[i] = it->second.back();
+      it->second.pop_back();
+    }
+  }
+
   const double noise = std::max(std::exp(log_noise_), 1e-12);
-  for (std::size_t i = 0; i < n; ++i) k(i, i) += noise;
+  la::Matrix k;
+  // cross() of the fresh rows costs |fresh| x n pairs, matrix() n^2 / 2.
+  if (!same_hypers || 2 * fresh.size() >= n) {
+    k = kernel_->matrix(x_);
+    for (std::size_t i = 0; i < n; ++i) k(i, i) += noise;
+  } else {
+    k = la::Matrix(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (old_row[i] == k_fresh) continue;
+      const auto src = kcache_.k.row(old_row[i]);
+      auto dst = k.row(i);
+      for (std::size_t j = 0; j < n; ++j)
+        if (old_row[j] != k_fresh) dst[j] = src[old_row[j]];
+    }
+    la::Matrix xf(fresh.size(), d);
+    for (std::size_t r = 0; r < fresh.size(); ++r) xf.set_row(r, x_.row(fresh[r]));
+    const la::Matrix kf = kernel_->cross(xf, x_);
+    for (std::size_t r = 0; r < fresh.size(); ++r) {
+      const std::size_t i = fresh[r];
+      for (std::size_t j = 0; j < n; ++j) {
+        k(i, j) = kf(r, j);
+        k(j, i) = kf(r, j);
+      }
+      k(i, i) += noise;
+    }
+  }
+  kcache_.x = x_;
+  kcache_.k = std::move(k);
+  kcache_.params.assign(params.begin(), params.end());
+  kcache_.log_noise = log_noise_;
+}
+
+void GaussianProcess::refresh_posterior() {
+  update_kernel_matrix();
   const int start =
       util::fault_fires(util::FaultSite::gp_chol_fail) ? 1 : 0;
-  auto chol = la::cholesky_jittered(k, start);
+  auto chol = la::cholesky_jittered(kcache_.k, start);
   if (chol.jitter > 0.0) obs::bo_count(obs::BoCounter::gp_jitter_retries);
-  Posterior p;
-  p.alpha = la::cholesky_solve(chol.l, y_std_);
-  la::Matrix t_scratch;
-  la::cholesky_inverse_into(chol.l, p.kinv, t_scratch);
-  p.chol_l = std::move(chol.l);
+  auto p = std::make_shared<Posterior>();
+  p->alpha = la::cholesky_solve(chol.l, y_std_);
+  p->chol_l = std::move(chol.l);
   post_ = std::move(p);
+}
+
+const la::Matrix& GaussianProcess::Posterior::kinv() const {
+  std::call_once(kinv_once_, [this] {
+    la::Matrix t_scratch;
+    la::cholesky_inverse_into(chol_l, kinv_, t_scratch);
+  });
+  return kinv_;
 }
 
 const GaussianProcess::Posterior& GaussianProcess::posterior() const {
@@ -260,7 +306,7 @@ GpPrediction GaussianProcess::predict_std(std::span<const double> x) const {
   // v = k(x,x) - k^T K^-1 k.
   la::Vector kv(n);
   for (std::size_t i = 0; i < n; ++i) kv[i] = kx(0, i);
-  const la::Vector kinv_k = la::matvec(p.kinv, kv);
+  const la::Vector kinv_k = la::matvec(p.kinv(), kv);
   double var = kernel_->diag(x) - la::dot(kv, kinv_k);
   var = std::max(var, 1e-12);
   return {mean, var};
@@ -337,7 +383,7 @@ void GaussianProcess::predict_std_grad(std::span<const double> x,
   for (std::size_t i = 0; i < n; ++i) kv[i] = kx(0, i);
 
   double mean = la::dot(kv, p.alpha);
-  const la::Vector kinv_k = la::matvec(p.kinv, kv);
+  const la::Vector kinv_k = la::matvec(p.kinv(), kv);
   double var = std::max(kernel_->diag(x) - la::dot(kv, kinv_k), 1e-12);
   pred = {mean, var};
 
@@ -363,8 +409,9 @@ GpPrediction GaussianProcess::kinv_predict_one(const la::Matrix& kx,
   const auto kv = kx.row(q);
   // kinv_k = K^-1 k; row-wise dot against the (exactly symmetric) inverse
   // reproduces la::matvec's summation order bit for bit.
+  const la::Matrix& kinv = p.kinv();
   kinv_k.resize(n);
-  for (std::size_t i = 0; i < n; ++i) kinv_k[i] = la::dot(p.kinv.row(i), kv);
+  for (std::size_t i = 0; i < n; ++i) kinv_k[i] = la::dot(kinv.row(i), kv);
   const double mean = la::dot(kv, p.alpha);
   const double var =
       std::max(kernel_->diag(xq.row(q)) - la::dot(kv, kinv_k), 1e-12);

@@ -13,7 +13,7 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
+#include <mutex>
 
 #include "kernel/kernel.hpp"
 #include "linalg/cholesky.hpp"
@@ -58,7 +58,14 @@ class GaussianProcess {
   /// With refresh=true (default) the posterior is rebuilt at the current
   /// hyperparameters; pass refresh=false when a fit() follows immediately —
   /// fit() refreshes at the end, and skipping the interim rebuild saves a
-  /// full factorization + inverse per refit.
+  /// kernel-matrix update and a factorization per refit.
+  ///
+  /// A refresh reuses the noise-added kernel matrix of the previous refresh
+  /// when the kernel parameters and the noise are bit-for-bit unchanged:
+  /// rows whose input bytes match a cached row copy their entries, and only
+  /// the other rows are evaluated (one kernel cross() call).  Every entry
+  /// depends on its two input rows alone, so the result is bit-identical to
+  /// rebuilding K from scratch.
   void set_data(la::Matrix x, la::Vector y, bool refresh = true);
 
   /// Maximum-likelihood hyperparameter training (warm-started from current
@@ -122,10 +129,29 @@ class GaussianProcess {
   double noise_var() const;  ///< standardized-space sigma^2
 
  private:
+  /// Factor and weights of one refresh.  Immutable once published, except
+  /// K^-1: it is built from chol_l the first time kinv() is called (only the
+  /// per-point readers predict_std, predict_std_grad and kinv_predict_one
+  /// need it; the batched predict_std_rows path never does).  The build runs
+  /// once under std::call_once, so readers on pool workers may race for it.
+  /// Copies of a GaussianProcess share the same Posterior.
   struct Posterior {
     la::Matrix chol_l;
     la::Vector alpha;
-    la::Matrix kinv;
+    const la::Matrix& kinv() const;
+
+   private:
+    mutable std::once_flag kinv_once_;
+    mutable la::Matrix kinv_;
+  };
+
+  /// The noise-added kernel matrix of the last refresh, keyed by the inputs
+  /// and the exact parameter and log-noise bits it was built with.
+  struct KernelCache {
+    la::Matrix x;
+    la::Matrix k;
+    std::vector<double> params;
+    double log_noise = 0.0;
   };
 
   /// Reusable heap state for the allocation-free LML loop: the kernel
@@ -156,6 +182,8 @@ class GaussianProcess {
   double nll_and_grad_ws(FitScratch& s, const la::Vector& y,
                          std::vector<double>& grad) const;
   void refresh_posterior();
+  /// Bring kcache_ up to date with x_ and the current hyperparameters.
+  void update_kernel_matrix();
   const Posterior& posterior() const;
 
   std::unique_ptr<kern::Kernel> kernel_;
@@ -164,7 +192,8 @@ class GaussianProcess {
   la::Vector y_std_;  ///< standardized targets
   double y_mean_ = 0.0;
   double y_sd_ = 1.0;
-  std::optional<Posterior> post_;
+  std::shared_ptr<const Posterior> post_;
+  KernelCache kcache_;
   GpFitInfo fit_info_;
 };
 

@@ -135,23 +135,74 @@ bool cholesky_into(const Matrix& a, Matrix& l, double jitter) {
     l(i, i) += jitter;
     for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
   }
+  double* d = l.data().data();
   for (std::size_t j0 = 0; j0 < n; j0 += k_chol_block) {
     const std::size_t nb = std::min(k_chol_block, n - j0);
     const std::size_t j1 = j0 + nb;
     if (!factor_diag_block(l, j0, nb)) return false;
-    for (std::size_t i = j1; i < n; ++i) {
-      double* li = l.data().data() + i * n;
+    // Panel solve, four rows per pass: each row keeps its own summation
+    // chain (same order as one row at a time), the lc loads are shared.
+    std::size_t i = j1;
+    for (; i + 4 <= n; i += 4) {
+      double* l0 = d + i * n;
+      double* l1 = l0 + n;
+      double* l2 = l1 + n;
+      double* l3 = l2 + n;
+      for (std::size_t c = j0; c < j1; ++c) {
+        const double* lc = d + c * n;
+        double s0 = l0[c];
+        double s1 = l1[c];
+        double s2 = l2[c];
+        double s3 = l3[c];
+        for (std::size_t k = j0; k < c; ++k) {
+          s0 -= l0[k] * lc[k];
+          s1 -= l1[k] * lc[k];
+          s2 -= l2[k] * lc[k];
+          s3 -= l3[k] * lc[k];
+        }
+        l0[c] = s0 / lc[c];
+        l1[c] = s1 / lc[c];
+        l2[c] = s2 / lc[c];
+        l3[c] = s3 / lc[c];
+      }
+    }
+    for (; i < n; ++i) {
+      double* li = d + i * n;
       for (std::size_t c = j0; c < j1; ++c) {
         double s = li[c];
-        const double* lc = l.data().data() + c * n;
+        const double* lc = d + c * n;
         for (std::size_t k = j0; k < c; ++k) s -= li[k] * lc[k];
         li[c] = s / lc[c];
       }
     }
-    for (std::size_t i = j1; i < n; ++i) {
-      double* li = l.data().data() + i * n;
-      for (std::size_t j = j1; j <= i; ++j) {
-        const double* lj = l.data().data() + j * n;
+    // Trailing update, four columns per pass (each its own chain, sharing
+    // the li loads).  Only panel columns [j0, j1) are read, so updating
+    // li[j] in place is safe.
+    for (i = j1; i < n; ++i) {
+      double* li = d + i * n;
+      std::size_t j = j1;
+      for (; j + 4 <= i + 1; j += 4) {
+        const double* lj0 = d + j * n;
+        const double* lj1 = lj0 + n;
+        const double* lj2 = lj1 + n;
+        const double* lj3 = lj2 + n;
+        double s0 = 0.0;
+        double s1 = 0.0;
+        double s2 = 0.0;
+        double s3 = 0.0;
+        for (std::size_t k = j0; k < j1; ++k) {
+          s0 += li[k] * lj0[k];
+          s1 += li[k] * lj1[k];
+          s2 += li[k] * lj2[k];
+          s3 += li[k] * lj3[k];
+        }
+        li[j] -= s0;
+        li[j + 1] -= s1;
+        li[j + 2] -= s2;
+        li[j + 3] -= s3;
+      }
+      for (; j <= i; ++j) {
+        const double* lj = d + j * n;
         double s = 0.0;
         for (std::size_t k = j0; k < j1; ++k) s += li[k] * lj[k];
         li[j] -= s;
@@ -239,6 +290,49 @@ void lower_inverse_transposed_into(const Matrix& l, Matrix& t) {
       double s = 0.0;
       for (std::size_t k = j; k < i; ++k) s -= li[k] * tj[k];
       tj[i] = s / li[i];
+    }
+  }
+}
+
+void half_kinv_minus_outer_into(const Matrix& t, const Vector& alpha,
+                                Matrix& dk) {
+  const std::size_t n = t.rows();
+  if (dk.rows() != n || dk.cols() != n) dk = Matrix(n, n);
+  const auto put = [&](std::size_t i, std::size_t j, double kinv_ij) {
+    const double v = 0.5 * (kinv_ij - alpha[i] * alpha[j]);
+    dk(i, j) = v;
+    dk(j, i) = v;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* ti = t.data().data() + i * n;
+    std::size_t j = 0;
+    // Four columns per pass share each ti load; every entry keeps its own
+    // summation chain over k = i .. n-1.
+    for (; j + 4 <= i + 1; j += 4) {
+      const double* tj0 = t.data().data() + j * n;
+      const double* tj1 = tj0 + n;
+      const double* tj2 = tj1 + n;
+      const double* tj3 = tj2 + n;
+      double k0 = 0.0;
+      double k1 = 0.0;
+      double k2 = 0.0;
+      double k3 = 0.0;
+      for (std::size_t k = i; k < n; ++k) {
+        k0 += ti[k] * tj0[k];
+        k1 += ti[k] * tj1[k];
+        k2 += ti[k] * tj2[k];
+        k3 += ti[k] * tj3[k];
+      }
+      put(i, j, k0);
+      put(i, j + 1, k1);
+      put(i, j + 2, k2);
+      put(i, j + 3, k3);
+    }
+    for (; j <= i; ++j) {
+      const double* tj = t.data().data() + j * n;
+      double kinv_ij = 0.0;
+      for (std::size_t k = i; k < n; ++k) kinv_ij += ti[k] * tj[k];
+      put(i, j, kinv_ij);
     }
   }
 }

@@ -69,6 +69,13 @@ void cholesky_solve_into(const Matrix& l, const Vector& b, Vector& x,
 /// contiguous rows.
 void lower_inverse_transposed_into(const Matrix& l, Matrix& t);
 
+/// dk = 0.5 (K^-1 - alpha alpha^T), the NLL gradient w.r.t. K, from
+/// t = (L^{-1})^T (K^-1(i, j) = <t_i, t_j> over the triangular support): the
+/// inverse is contracted straight into dk, never materialized on its own.
+/// Exactly symmetric.  `dk` is resized on first use.
+void half_kinv_minus_outer_into(const Matrix& t, const Vector& alpha,
+                                Matrix& dk);
+
 /// inv = (L L^T)^{-1} via T = (L^{-1})^T and inv = T T^T restricted to the
 /// triangular support.  Exactly symmetric by construction.  `t_scratch` is a
 /// caller-owned buffer.

@@ -201,6 +201,190 @@ TEST(MultiGp, IndependentMetrics) {
 }
 
 // ---------------------------------------------------------------------------
+// Kernel-matrix reuse across posterior refreshes: a GP that reached its data
+// through any history of set_data()/fit() calls must match, bit for bit, a
+// GP built from scratch on the same data at the same hyperparameters.
+
+namespace {
+
+using KernelFactory = std::unique_ptr<kern::Kernel> (*)();
+
+std::unique_ptr<kern::Kernel> reuse_neuk() {
+  auto k = neuk(3, 41);
+  kato::util::Rng rng(42);
+  for (auto& p : k->params()) p += rng.uniform(-0.2, 0.2);
+  return k;
+}
+
+std::unique_ptr<kern::Kernel> reuse_rbf() {
+  auto k = rbf(3);
+  kato::util::Rng rng(43);
+  for (auto& p : k->params()) p = rng.uniform(-0.5, 0.5);
+  return k;
+}
+
+class KernelReuse : public ::testing::TestWithParam<KernelFactory> {
+ protected:
+  static constexpr std::size_t k_pool = 60;
+
+  void SetUp() override {
+    kato::util::Rng rng(44);
+    pool_x_ = la::Matrix(k_pool, 3);
+    for (auto& v : pool_x_.data()) v = rng.uniform();
+    pool_y_.resize(k_pool);
+    for (std::size_t i = 0; i < k_pool; ++i)
+      pool_y_[i] = smooth_fn(pool_x_.row(i)) + pool_x_(i, 2);
+  }
+
+  /// Pool rows idx, in that order (repeats allowed).
+  la::Matrix x_of(const std::vector<std::size_t>& idx) const {
+    la::Matrix x(idx.size(), 3);
+    for (std::size_t i = 0; i < idx.size(); ++i) x.set_row(i, pool_x_.row(idx[i]));
+    return x;
+  }
+  la::Vector y_of(const std::vector<std::size_t>& idx) const {
+    la::Vector y(idx.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) y[i] = pool_y_[idx[i]];
+    return y;
+  }
+
+  /// A GP with no refresh history at `like`'s kernel parameters and the
+  /// default noise.
+  gp::GaussianProcess fresh(const gp::GaussianProcess& like,
+                            const std::vector<std::size_t>& idx) const {
+    gp::GaussianProcess g(like.kernel().clone());
+    g.set_data(x_of(idx), y_of(idx));
+    return g;
+  }
+
+  /// predict_batch, predict_std_grad_batch and nll() agree bitwise.
+  void expect_same(const gp::GaussianProcess& a,
+                   const gp::GaussianProcess& b) const {
+    const la::Matrix xq = x_of({0, 3, 17, 59, 58, 31, 44});
+    const auto pa = a.predict_batch(xq);
+    const auto pb = b.predict_batch(xq);
+    for (std::size_t q = 0; q < xq.rows(); ++q) {
+      EXPECT_EQ(pa[q].mean, pb[q].mean) << q;
+      EXPECT_EQ(pa[q].var, pb[q].var) << q;
+    }
+    std::vector<gp::GpPrediction> ga;
+    std::vector<gp::GpPrediction> gb;
+    la::Matrix dma, dva, dmb, dvb;
+    a.predict_std_grad_batch(xq, ga, dma, dva);
+    b.predict_std_grad_batch(xq, gb, dmb, dvb);
+    for (std::size_t q = 0; q < xq.rows(); ++q) {
+      EXPECT_EQ(ga[q].mean, gb[q].mean) << q;
+      EXPECT_EQ(ga[q].var, gb[q].var) << q;
+    }
+    EXPECT_EQ(dma.data(), dmb.data());
+    EXPECT_EQ(dva.data(), dvb.data());
+    EXPECT_EQ(a.nll(), b.nll());
+  }
+
+  static std::vector<std::size_t> range(std::size_t lo, std::size_t hi) {
+    std::vector<std::size_t> idx;
+    for (std::size_t i = lo; i < hi; ++i) idx.push_back(i);
+    return idx;
+  }
+
+  la::Matrix pool_x_;
+  la::Vector pool_y_;
+};
+
+}  // namespace
+
+TEST_P(KernelReuse, AppendingRows) {
+  gp::GaussianProcess g(GetParam()());
+  g.set_data(x_of(range(0, 40)), y_of(range(0, 40)));
+  const auto idx = range(0, 44);
+  g.set_data(x_of(idx), y_of(idx));
+  expect_same(g, fresh(g, idx));
+}
+
+TEST_P(KernelReuse, WindowDropsMiddleRowsThenAppends) {
+  gp::GaussianProcess g(GetParam()());
+  auto idx = range(0, 40);
+  g.set_data(x_of(idx), y_of(idx));
+  for (std::size_t step = 0; step < 3; ++step) {
+    idx.erase(idx.begin() + 10, idx.begin() + 14);
+    for (std::size_t j = 0; j < 4; ++j) idx.push_back(40 + 4 * step + j);
+    g.set_data(x_of(idx), y_of(idx));
+    expect_same(g, fresh(g, idx));
+  }
+}
+
+TEST_P(KernelReuse, PermutingRows) {
+  gp::GaussianProcess g(GetParam()());
+  g.set_data(x_of(range(0, 40)), y_of(range(0, 40)));
+  kato::util::Rng rng(45);
+  const auto idx = rng.permutation(40);
+  g.set_data(x_of(idx), y_of(idx));
+  expect_same(g, fresh(g, idx));
+}
+
+TEST_P(KernelReuse, DuplicateInputRows) {
+  gp::GaussianProcess g(GetParam()());
+  auto before = range(0, 40);
+  before.push_back(5);
+  g.set_data(x_of(before), y_of(before));
+  // Row 5 now three times (the cache holds two) and row 7 twice: an
+  // off-diagonal entry between copies must not take a cached diagonal.
+  auto idx = before;
+  idx.push_back(5);
+  idx.push_back(7);
+  idx.push_back(41);
+  g.set_data(x_of(idx), y_of(idx));
+  expect_same(g, fresh(g, idx));
+}
+
+TEST_P(KernelReuse, FitThatChangesHyperparameters) {
+  gp::GaussianProcess g(GetParam()());
+  g.set_data(x_of(range(0, 40)), y_of(range(0, 40)));
+  const auto idx = range(4, 44);
+  g.set_data(x_of(idx), y_of(idx));
+  gp::GaussianProcess ref(g.kernel().clone());
+  ref.set_data(x_of(idx), y_of(idx));
+
+  const std::vector<double> before(g.kernel().params().begin(),
+                                   g.kernel().params().end());
+  gp::GpFitOptions opts;
+  opts.iterations = 5;
+  kato::util::Rng rng_g(46);
+  kato::util::Rng rng_ref(46);
+  g.fit(opts, rng_g);
+  ref.fit(opts, rng_ref);
+  const std::vector<double> after(g.kernel().params().begin(),
+                                  g.kernel().params().end());
+  EXPECT_NE(before, after);
+  expect_same(g, ref);
+}
+
+TEST_P(KernelReuse, DeferredRefreshThenFit) {
+  for (const int iterations : {0, 5}) {
+    SCOPED_TRACE(iterations);
+    gp::GaussianProcess g(GetParam()());
+    g.set_data(x_of(range(0, 40)), y_of(range(0, 40)));
+    auto idx = range(0, 40);
+    idx.erase(idx.begin() + 20, idx.begin() + 23);
+    idx.push_back(50);
+    g.set_data(x_of(idx), y_of(idx), /*refresh=*/false);
+    gp::GaussianProcess ref(g.kernel().clone());
+    ref.set_data(x_of(idx), y_of(idx), /*refresh=*/false);
+
+    gp::GpFitOptions opts;
+    opts.iterations = iterations;
+    kato::util::Rng rng_g(47);
+    kato::util::Rng rng_ref(47);
+    g.fit(opts, rng_g);
+    ref.fit(opts, rng_ref);
+    expect_same(g, ref);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NeukAndRbf, KernelReuse,
+                         ::testing::Values(&reuse_neuk, &reuse_rbf));
+
+// ---------------------------------------------------------------------------
 // KAT-GP transfer tests: source and target are related nonlinear functions on
 // different input spaces (3-D source, 2-D target), mimicking transfer between
 // circuit topologies with different design variables.

@@ -360,16 +360,46 @@ TEST(NeukKernel, PinnedInputGradientMatchesFiniteDifference) {
   check_input_gradient(*k, x2, rng, 1e-6);
 }
 
+// The posterior refresh reuses kernel-matrix entries across refreshes and
+// evaluates only new rows through cross(), mirrored into K.  That is
+// bit-identical to a full matrix() rebuild only if matrix(x) == cross(x, x)
+// and cross(a, b) == cross(b, a)^T hold exactly, so both are pinned bitwise.
+namespace {
+
+void expect_matrix_is_cross_bitwise(const kern::Kernel& k, const la::Matrix& x) {
+  const la::Matrix fast = k.matrix(x);
+  const la::Matrix ref = k.cross(x, x);
+  for (std::size_t i = 0; i < x.rows(); ++i)
+    for (std::size_t j = 0; j < x.rows(); ++j)
+      EXPECT_EQ(fast(i, j), ref(i, j)) << i << "," << j;
+}
+
+void expect_cross_transposes_bitwise(const kern::Kernel& k, const la::Matrix& a,
+                                     const la::Matrix& b) {
+  const la::Matrix ab = k.cross(a, b);
+  const la::Matrix ba = k.cross(b, a);
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < b.rows(); ++j)
+      EXPECT_EQ(ab(i, j), ba(j, i)) << i << "," << j;
+}
+
+}  // namespace
+
 TEST(NeukKernel, MatrixOverrideMatchesCross) {
   kato::util::Rng rng(64);
   auto k = make_neuk(4, rng);
   for (auto& p : k->params()) p += rng.uniform(-0.3, 0.3);
   auto x = random_points(14, 4, rng);
-  const la::Matrix fast = k->matrix(x);
-  const la::Matrix ref = k->cross(x, x);
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    for (std::size_t j = 0; j < x.rows(); ++j)
-      EXPECT_DOUBLE_EQ(fast(i, j), ref(i, j));
+  expect_matrix_is_cross_bitwise(*k, x);
+}
+
+TEST(NeukKernel, CrossIsBitwiseTransposeSymmetric) {
+  kato::util::Rng rng(66);
+  auto k = make_neuk(4, rng);
+  for (auto& p : k->params()) p += rng.uniform(-0.3, 0.3);
+  const auto a = random_points(9, 4, rng);
+  const auto b = random_points(13, 4, rng);
+  expect_cross_transposes_bitwise(*k, a, b);
 }
 
 TEST_P(StationaryTest, MatrixOverrideMatchesCross) {
@@ -377,11 +407,26 @@ TEST_P(StationaryTest, MatrixOverrideMatchesCross) {
   kern::StationaryArd k(GetParam(), 3);
   for (auto& p : k.params()) p = rng.uniform(-0.5, 0.5);
   auto x = random_points(12, 3, rng);
-  const la::Matrix fast = k.matrix(x);
-  const la::Matrix ref = k.cross(x, x);
-  for (std::size_t i = 0; i < x.rows(); ++i)
-    for (std::size_t j = 0; j < x.rows(); ++j)
-      EXPECT_DOUBLE_EQ(fast(i, j), ref(i, j));
+  expect_matrix_is_cross_bitwise(k, x);
+}
+
+TEST_P(StationaryTest, CrossIsBitwiseTransposeSymmetric) {
+  kato::util::Rng rng(67);
+  kern::StationaryArd k(GetParam(), 3);
+  for (auto& p : k.params()) p = rng.uniform(-0.5, 0.5);
+  const auto a = random_points(8, 3, rng);
+  const auto b = random_points(11, 3, rng);
+  expect_cross_transposes_bitwise(k, a, b);
+}
+
+TEST(PeriodicKernel, MatrixMatchesCrossAndTransposesBitwise) {
+  kato::util::Rng rng(68);
+  kern::PeriodicArd k(3);
+  for (auto& p : k.params()) p = rng.uniform(-0.5, 0.5);
+  const auto x = random_points(12, 3, rng);
+  expect_matrix_is_cross_bitwise(k, x);
+  const auto b = random_points(7, 3, rng);
+  expect_cross_transposes_bitwise(k, x, b);
 }
 
 TEST(Softplus, ValueAndDerivative) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 
@@ -250,4 +251,120 @@ TEST(Cholesky, BlockedSolveMatchesDirectResidual) {
   const la::Vector x = la::cholesky_solve(*l, rhs);
   const la::Vector ax = la::matvec(spd, x);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], rhs[i], 1e-8);
+}
+
+// ---------------------------------------------------------------------------
+// The blocked Cholesky's panel solve and trailing update, and the dK
+// contraction of the GP training loop, advance several independent output
+// chains per pass.  Each output keeps its own summation order, so they must
+// match the one-output-at-a-time loops below bit for bit.
+
+namespace {
+
+/// One-row-at-a-time blocked Cholesky (same 48-wide panels).
+bool oracle_cholesky(const la::Matrix& a, la::Matrix& l) {
+  constexpr std::size_t block = 48;
+  const std::size_t n = a.rows();
+  l = la::Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) l(i, j) = a(i, j);
+  for (std::size_t j0 = 0; j0 < n; j0 += block) {
+    const std::size_t j1 = std::min(j0 + block, n);
+    for (std::size_t j = j0; j < j1; ++j) {
+      double diag = l(j, j);
+      for (std::size_t k = j0; k < j; ++k) diag -= l(j, k) * l(j, k);
+      if (!(diag > 0.0) || !std::isfinite(diag)) return false;
+      const double ljj = std::sqrt(diag);
+      l(j, j) = ljj;
+      for (std::size_t i = j + 1; i < j1; ++i) {
+        double s = l(i, j);
+        for (std::size_t k = j0; k < j; ++k) s -= l(i, k) * l(j, k);
+        l(i, j) = s / ljj;
+      }
+    }
+    for (std::size_t i = j1; i < n; ++i)
+      for (std::size_t c = j0; c < j1; ++c) {
+        double s = l(i, c);
+        for (std::size_t k = j0; k < c; ++k) s -= l(i, k) * l(c, k);
+        l(i, c) = s / l(c, c);
+      }
+    for (std::size_t i = j1; i < n; ++i)
+      for (std::size_t j = j1; j <= i; ++j) {
+        double s = 0.0;
+        for (std::size_t k = j0; k < j1; ++k) s += l(i, k) * l(j, k);
+        l(i, j) -= s;
+      }
+  }
+  return true;
+}
+
+/// One-entry-at-a-time 0.5 (T T^T - alpha alpha^T) over the triangular
+/// support of T = (L^-1)^T.
+la::Matrix oracle_half_kinv_minus_outer(const la::Matrix& t,
+                                        const la::Vector& alpha) {
+  const std::size_t n = t.rows();
+  la::Matrix dk(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) {
+      double kinv_ij = 0.0;
+      for (std::size_t k = i; k < n; ++k) kinv_ij += t(i, k) * t(j, k);
+      const double v = 0.5 * (kinv_ij - alpha[i] * alpha[j]);
+      dk(i, j) = v;
+      dk(j, i) = v;
+    }
+  return dk;
+}
+
+la::Matrix random_spd(std::size_t n, std::uint64_t seed) {
+  const auto b = random_matrix(n, n, seed);
+  la::Matrix spd = la::matmul_nt(b, b);
+  for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
+  return spd;
+}
+
+}  // namespace
+
+TEST(Cholesky, MultiChainFactorMatchesScalarOracleBitwise) {
+  for (const std::size_t n : {1, 2, 3, 5, 47, 48, 49, 52, 97, 192, 256}) {
+    SCOPED_TRACE(n);
+    const auto spd = random_spd(n, 200 + n);
+    la::Matrix ref;
+    ASSERT_TRUE(oracle_cholesky(spd, ref));
+    la::Matrix l;
+    ASSERT_TRUE(la::cholesky_into(spd, l));
+    EXPECT_EQ(l.data(), ref.data());
+    const auto jl = la::cholesky(spd);
+    ASSERT_TRUE(jl.has_value());
+    EXPECT_EQ(jl->data(), ref.data());
+  }
+}
+
+TEST(Cholesky, MultiChainFactorRejectsNonPd) {
+  for (const std::size_t n : {3, 52, 97}) {
+    SCOPED_TRACE(n);
+    // Positive definite except a late pivot, which lands in the trailing
+    // update's territory for n > 48.
+    auto a = random_spd(n, 300 + n);
+    a(n - 1, n - 1) = -1.0;
+    la::Matrix ref;
+    EXPECT_FALSE(oracle_cholesky(a, ref));
+    la::Matrix l;
+    EXPECT_FALSE(la::cholesky_into(a, l));
+    EXPECT_FALSE(la::cholesky(a).has_value());
+  }
+}
+
+TEST(Cholesky, DkContractionMatchesScalarOracleBitwise) {
+  for (const std::size_t n : {1, 2, 3, 5, 47, 48, 49, 52, 97, 192}) {
+    SCOPED_TRACE(n);
+    const auto l = la::cholesky(random_spd(n, 400 + n));
+    ASSERT_TRUE(l.has_value());
+    la::Matrix t;
+    la::lower_inverse_transposed_into(*l, t);
+    kato::util::Rng rng(500 + n);
+    const la::Vector alpha = rng.normal_vec(n);
+    la::Matrix dk;
+    la::half_kinv_minus_outer_into(t, alpha, dk);
+    EXPECT_EQ(dk.data(), oracle_half_kinv_minus_outer(t, alpha).data());
+  }
 }

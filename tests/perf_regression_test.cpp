@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -704,6 +705,98 @@ TEST(PredictStdGradBatch, BitIdenticalToPerPointCalls) {
     const auto std_ref = model.predict_std(q.row(i));
     EXPECT_EQ(preds_exact[i].mean, std_ref.mean) << i;
     EXPECT_EQ(preds_exact[i].var, std_ref.var) << i;
+  }
+}
+
+// K^-1 is built lazily, on the first read.  In KAT-GP training that first
+// read comes from the pool workers of predict_std_grad_batch, which race for
+// it; the result must not depend on the thread count and must equal an
+// eagerly built cholesky_inverse.  The source GP reaches its data through a
+// window shift, so its K also comes through the kernel-matrix reuse path.
+TEST(PredictStdGradBatch, LazyInverseFromPoolWorkersMatchesEagerInverse) {
+  const std::size_t d = 4;
+  const std::size_t n = 40;
+  kato::util::Rng data_rng(92);
+  const la::Matrix pool = random_points(n + 3, d, data_rng);
+  la::Vector pool_y(n + 3);
+  for (std::size_t i = 0; i < n + 3; ++i)
+    pool_y[i] = std::sin(3.0 * pool(i, 0)) + pool(i, 1);
+  la::Matrix x(n, d);
+  la::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x.set_row(i, pool.row(i + 3));
+    y[i] = pool_y[i + 3];
+  }
+  const auto q = random_points(24, d, data_rng);
+
+  // Two independently refreshed sources (copies would share one posterior).
+  auto make_source = [&] {
+    kato::util::Rng rng(93);
+    kern::NeukConfig cfg;
+    gp::GaussianProcess g(std::make_unique<kern::NeukKernel>(d, cfg, rng));
+    la::Matrix x0(n, d);
+    la::Vector y0(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x0.set_row(i, pool.row(i));
+      y0[i] = pool_y[i];
+    }
+    g.set_data(x0, y0);
+    g.set_data(x, y);
+    return g;
+  };
+  struct Grads {
+    std::vector<gp::GpPrediction> preds;
+    la::Matrix dmean;
+    la::Matrix dvar;
+  };
+  auto grads_at = [&](const char* threads) {
+    const auto g = make_source();
+    ThreadsEnv env(threads);
+    Grads out;
+    g.predict_std_grad_batch(q, out.preds, out.dmean, out.dvar);
+    return out;
+  };
+  const Grads serial = grads_at("1");
+  const Grads pooled = grads_at("4");
+
+  // Eager reference: K from matrix(), factor, explicit inverse.
+  const auto g = make_source();
+  const auto& kernel = g.kernel();
+  la::Matrix k = kernel.matrix(x);
+  const double noise = std::max(g.noise_var(), 1e-12);
+  for (std::size_t i = 0; i < n; ++i) k(i, i) += noise;
+  const auto chol = la::cholesky_jittered(k);
+  la::Vector y_std(n);
+  for (std::size_t i = 0; i < n; ++i) y_std[i] = (y[i] - g.y_mean()) / g.y_std();
+  const la::Vector alpha = la::cholesky_solve(chol.l, y_std);
+  la::Matrix kinv;
+  la::Matrix t_scratch;
+  la::cholesky_inverse_into(chol.l, kinv, t_scratch);
+  const la::Matrix kx = kernel.cross(q, x);
+
+  for (std::size_t r = 0; r < q.rows(); ++r) {
+    const auto kv = kx.row(r);
+    la::Vector kinv_k(n);
+    for (std::size_t i = 0; i < n; ++i) kinv_k[i] = la::dot(kinv.row(i), kv);
+    const double mean = la::dot(kv, alpha);
+    const double var =
+        std::max(kernel.diag(q.row(r)) - la::dot(kv, kinv_k), 1e-12);
+    const la::Matrix dk_dx = kernel.input_grad(q.row(r), x);
+    la::Vector dm(d, 0.0);
+    la::Vector dv(d, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < d; ++j) {
+        dm[j] += dk_dx(i, j) * alpha[i];
+        dv[j] += -2.0 * dk_dx(i, j) * kinv_k[i];
+      }
+    for (const Grads* got : {&serial, &pooled}) {
+      EXPECT_EQ(got->preds[r].mean, mean) << r;
+      EXPECT_EQ(got->preds[r].var, var) << r;
+      for (std::size_t j = 0; j < d; ++j) {
+        EXPECT_EQ(got->dmean(r, j), dm[j]) << r << "," << j;
+        EXPECT_EQ(got->dvar(r, j), dv[j]) << r << "," << j;
+      }
+    }
   }
 }
 
