@@ -49,8 +49,14 @@ SCALING_FLOORS = {"eval_batch_speedup": 2.0, "gp_fit_parallel_speedup": 1.5,
 # whenever the current run reports them.  gp_refresh_reuse_speedup is a NeuK
 # posterior refresh at n=256 after new hyperparameters over one after a
 # 4-row window shift that reuses the rest of the kernel matrix.
+# tri_solve_speedup and lower_inverse_speedup are the GP's SIMD triangular
+# kernels (the acquisition's multi-RHS forward solve at n=256 with 24
+# queries, and L^-1 at n=192) over the bit-identical scalar loops they
+# replaced, interleaved in the same binary.
 SPEEDUP_FLOORS = {"device_table_speedup": 3.0,
-                  "gp_refresh_reuse_speedup": 2.0}
+                  "gp_refresh_reuse_speedup": 2.0,
+                  "tri_solve_speedup": 2.0,
+                  "lower_inverse_speedup": 1.5}
 
 # Overhead ratios (`*_ratio` fields, current/reference arms interleaved in
 # the same binary): machine-independent ceilings, enforced whenever the

@@ -1,5 +1,6 @@
 // Microbenchmarks for the hot paths: Neuk kernel-matrix construction and
-// backward pass, dense matmul/Cholesky, GP fit step, GP posterior refresh,
+// backward pass, dense matmul/Cholesky, the GP's triangular kernels against
+// their scalar loops, GP fit step, GP posterior refresh,
 // per-point vs batched GP prediction, MACE proposal generation, MNA circuit
 // evaluation and NSGA-II.
 //
@@ -42,6 +43,9 @@
 #include "sim/transient.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
+
+// The scalar loops the triangular kernels replaced (the tests' oracles).
+#include "../tests/scalar_oracles.hpp"
 
 #ifndef KATO_SOURCE_DIR
 #define KATO_SOURCE_DIR "."
@@ -182,6 +186,68 @@ int main(int argc, char** argv) {
     la::Matrix spd = la::matmul_nt(a, a);
     for (std::size_t i = 0; i < spd.rows(); ++i) spd(i, i) += 256.0;
     bench("cholesky_256", [&] { sink((*la::cholesky(spd))(0, 0)); });
+  }
+
+  // Triangular kernels of the GP, each interleaved with the scalar loop it
+  // replaced, from tests/scalar_oracles.hpp (same binary, same thread, so
+  // the ratio tracks the code): the acquisition's forward solve at n = 256
+  // with a 24-query range, and the fit's L^-1 and dK contraction at the
+  // hyper-training cap n = 192.
+  double tri_solve_ms = 0.0;
+  double tri_solve_scalar_ms = 0.0;
+  double lower_inverse_ms = 0.0;
+  double lower_inverse_scalar_ms = 0.0;
+  double kinv_contract_ms = 0.0;
+  double kinv_contract_scalar_ms = 0.0;
+  {
+    const auto spd_factor = [](std::size_t n, std::uint64_t seed) {
+      const auto a = random_points(n, n, seed);
+      la::Matrix spd = la::matmul_nt(a, a);
+      for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
+      return *la::cholesky(spd);
+    };
+    const la::Matrix l256 = spd_factor(256, 31);
+    const auto rhs = random_points(256, 24, 32);
+    std::tie(tri_solve_ms, tri_solve_scalar_ms) = bench_ab(
+        "tri_solve_n256_q24",
+        [&] { sink(la::solve_lower_multi(l256, rhs)(255, 23)); },
+        "tri_solve_n256_q24_scalar",
+        [&] { sink(scalar_oracles::solve_lower_multi(l256, rhs)(255, 23)); });
+
+    const la::Matrix l192 = spd_factor(192, 33);
+    la::Matrix x;
+    la::Matrix t;
+    std::tie(lower_inverse_ms, lower_inverse_scalar_ms) = bench_ab(
+        "lower_inverse_n192",
+        [&] {
+          la::lower_inverse_into(l192, x);
+          sink(x(191, 0));
+        },
+        "lower_inverse_n192_scalar",
+        [&] {
+          scalar_oracles::lower_inverse_transposed(l192, t);
+          sink(t(0, 191));
+        });
+
+    const la::Vector alpha = random_points(192, 1, 34).data();
+    la::Matrix dk;
+    std::tie(kinv_contract_ms, kinv_contract_scalar_ms) = bench_ab(
+        "kinv_contract_n192",
+        [&] {
+          la::half_kinv_minus_outer_into(x, alpha, dk);
+          sink(dk(191, 0));
+        },
+        "kinv_contract_n192_scalar",
+        [&] {
+          scalar_oracles::half_kinv_minus_outer(t, alpha, dk);
+          sink(dk(191, 0));
+        });
+    std::cout << "  -> tri solve speedup: "
+              << tri_solve_scalar_ms / tri_solve_ms
+              << "x, lower inverse speedup: "
+              << lower_inverse_scalar_ms / lower_inverse_ms
+              << "x, kinv contract speedup: "
+              << kinv_contract_scalar_ms / kinv_contract_ms << "x\n";
   }
 
   // GP fit step.
@@ -1066,6 +1132,17 @@ int main(int argc, char** argv) {
         << (fit_ws_ms > 0.0 ? fit_ref_ms / fit_ws_ms : 0.0) << ",\n";
     out << "  \"gp_refresh_reuse_speedup\": "
         << (refresh_window_ms > 0.0 ? refresh_new_ms / refresh_window_ms : 0.0)
+        << ",\n";
+    out << "  \"tri_solve_speedup\": "
+        << (tri_solve_ms > 0.0 ? tri_solve_scalar_ms / tri_solve_ms : 0.0)
+        << ",\n";
+    out << "  \"lower_inverse_speedup\": "
+        << (lower_inverse_ms > 0.0 ? lower_inverse_scalar_ms / lower_inverse_ms
+                                   : 0.0)
+        << ",\n";
+    out << "  \"kinv_contract_speedup\": "
+        << (kinv_contract_ms > 0.0 ? kinv_contract_scalar_ms / kinv_contract_ms
+                                   : 0.0)
         << ",\n";
     out << "  \"gp_fit_ref_ms\": " << fit_ref_ms << ",\n";
     out << "  \"gp_fit_fused_ms\": " << fit_ws_ms << ",\n";

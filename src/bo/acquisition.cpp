@@ -47,15 +47,12 @@ double probability_of_feasibility(
 }
 
 double total_violation(const std::vector<gp::GpPrediction>& constraint_preds,
-                       const std::vector<ckt::MetricSpec>& specs,
-                       const std::vector<double>& scales) {
-  if (constraint_preds.size() != specs.size() || scales.size() != specs.size())
+                       const std::vector<ckt::MetricSpec>& specs) {
+  if (constraint_preds.size() != specs.size())
     throw std::invalid_argument("total_violation: count mismatch");
   double v = 0.0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const double scale = scales[i] > 0.0 ? scales[i] : 1.0;
-    v += specs[i].violation(constraint_preds[i].mean) / scale;
-  }
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    v += specs[i].violation(constraint_preds[i].mean);
   return v;
 }
 

@@ -30,12 +30,11 @@ double ucb_improvement(const gp::GpPrediction& p, double y_best, double beta);
 double probability_of_feasibility(const std::vector<gp::GpPrediction>& constraint_preds,
                                   const std::vector<ckt::MetricSpec>& specs);
 
-/// Mean constraint violation (standardized by each GP's scale) and its
-/// uncertainty-weighted variant — the two violation objectives of the full
-/// six-objective constrained MACE.
+/// Summed constraint violation of the predicted means, and its variant with
+/// each violation divided by the prediction's sigma — the two violation
+/// objectives of the full six-objective constrained MACE.
 double total_violation(const std::vector<gp::GpPrediction>& constraint_preds,
-                       const std::vector<ckt::MetricSpec>& specs,
-                       const std::vector<double>& scales);
+                       const std::vector<ckt::MetricSpec>& specs);
 double total_violation_scaled(const std::vector<gp::GpPrediction>& constraint_preds,
                               const std::vector<ckt::MetricSpec>& specs);
 

@@ -9,14 +9,6 @@ namespace kato::bo {
 
 namespace {
 
-/// Objective metric GP scale for violation normalization.
-std::vector<double> constraint_scales(const Surrogate& surrogate,
-                                      std::size_t n_constraints) {
-  // Scales are folded into the GP standardization already; use unit scales.
-  (void)surrogate;
-  return std::vector<double>(n_constraints, 1.0);
-}
-
 /// Lift a per-candidate acquisition map (predictions -> objective vector)
 /// into the NSGA batch evaluator.  The surrogate posterior — the expensive
 /// stage — runs over the whole generation at once, as one KATO_THREADS pool
@@ -48,9 +40,8 @@ moo::ParetoSet mace_proposals(const Surrogate& surrogate,
   KATO_OBS_STAGE(acquisition);
   const bool have_incumbent = std::isfinite(y_best);
   const std::size_t n_obj = options.variant == MaceVariant::modified ? 3 : 6;
-  const auto scales = constraint_scales(surrogate, specs.size());
 
-  auto acquisition = [&specs, &scales, &options, y_best,
+  auto acquisition = [&specs, &options, y_best,
                       have_incumbent](const std::vector<gp::GpPrediction>& preds) {
     const gp::GpPrediction obj = preds.front();
     const std::vector<gp::GpPrediction> cons(preds.begin() + 1, preds.end());
@@ -74,7 +65,7 @@ moo::ParetoSet mace_proposals(const Surrogate& surrogate,
                                -pi,
                                -ucb,
                                -pf,
-                               total_violation(cons, specs, scales),
+                               total_violation(cons, specs),
                                total_violation_scaled(cons, specs)};
   };
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "nn/mlp.hpp"
 #include "obs/obs.hpp"
@@ -119,8 +120,8 @@ double GaussianProcess::nll_and_grad_ws(FitScratch& s, const la::Vector& y,
   const double nll = 0.5 * la::dot(y, s.alpha) + 0.5 * logdet +
                      0.5 * static_cast<double>(n) * std::log(k_two_pi);
 
-  // dNLL/dK = 0.5 (K^-1 - alpha alpha^T), contracted from T = (L^-1)^T.
-  la::lower_inverse_transposed_into(s.l, s.t);
+  // dNLL/dK = 0.5 (K^-1 - alpha alpha^T), contracted from X = L^-1.
+  la::lower_inverse_into(s.l, s.t);
   la::half_kinv_minus_outer_into(s.t, s.alpha, s.dk);
 
   grad.assign(kernel_->n_params() + 1, 0.0);
@@ -284,8 +285,8 @@ void GaussianProcess::refresh_posterior() {
 
 const la::Matrix& GaussianProcess::Posterior::kinv() const {
   std::call_once(kinv_once_, [this] {
-    la::Matrix t_scratch;
-    la::cholesky_inverse_into(chol_l, kinv_, t_scratch);
+    la::Matrix x_scratch;
+    la::cholesky_inverse_into(chol_l, kinv_, x_scratch);
   });
   return kinv_;
 }
@@ -341,7 +342,7 @@ void GaussianProcess::predict_std_rows(const la::Matrix& xq, std::size_t q0,
   la::Matrix rhs(n, w);
   for (std::size_t j = 0; j < w; ++j)
     for (std::size_t k = 0; k < n; ++k) rhs(k, j) = kx(j, k);
-  const la::Matrix v = la::solve_lower_multi(p.chol_l, rhs);
+  const la::Matrix v = la::solve_lower_multi(p.chol_l, std::move(rhs));
   la::Vector sumsq(w, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
     const auto row = v.row(k);

@@ -91,6 +91,9 @@ class GaussianProcess {
   /// arithmetic depends only on that row, so any split of the queries into
   /// ranges gives bit-identical results — the building block that
   /// predict_std_batch and MultiGp::predict_std_batch fan out over the pool.
+  /// The solve is la::solve_lower_multi's SIMD sweep.  The variance reads
+  /// its result only as squares, so it has the bits of the scalar forward
+  /// substitution even where the factor has exact zeros (see cholesky.hpp).
   void predict_std_rows(const la::Matrix& xq, std::size_t q0, std::size_t q1,
                         std::span<GpPrediction> out) const;
   /// A standardized-space prediction mapped back to raw target units.
@@ -134,7 +137,9 @@ class GaussianProcess {
   /// per-point readers predict_std, predict_std_grad and kinv_predict_one
   /// need it; the batched predict_std_rows path never does).  The build runs
   /// once under std::call_once, so readers on pool workers may race for it.
-  /// Copies of a GaussianProcess share the same Posterior.
+  /// It goes through the row-major X = L^-1 and the same K^-1 contraction
+  /// as the fit's dNLL/dK, so both read identical bits.  Copies of a
+  /// GaussianProcess share the same Posterior.
   struct Posterior {
     la::Matrix chol_l;
     la::Vector alpha;
@@ -160,7 +165,7 @@ class GaussianProcess {
     std::unique_ptr<kern::Kernel::FitWorkspace> ws;
     la::Matrix k;      ///< kernel matrix (+ noise on the diagonal)
     la::Matrix l;      ///< Cholesky factor
-    la::Matrix t;      ///< (L^-1)^T; contracted straight into dk
+    la::Matrix t;      ///< X = L^-1, row-major; contracted straight into dk
     la::Matrix dk;     ///< dNLL/dK
     la::Vector alpha;
     la::Vector tmp;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace kato::la {
@@ -33,6 +34,193 @@ bool factor_diag_block(Matrix& l, std::size_t j0, std::size_t nb) {
 /// streams through cache instead of striding over the full matrix.
 constexpr std::size_t k_chol_block = 48;
 
+// The triangular kernels below run two doubles per SSE2 register (GCC vector
+// extensions, baseline x86-64, memcpy loads).  Lanes are independent output
+// entries: each lane performs exactly the IEEE operations, in exactly the
+// order, of the one-entry-at-a-time loop it replaces, so results are
+// bit-identical to those loops.  No FMA may be contracted in: that holds for
+// the baseline ISA the project builds for.
+typedef double v2d __attribute__((vector_size(16)));
+
+v2d splat(double s) { return v2d{s, s}; }
+
+/// Eight lanes as four registers.
+struct Lanes8 {
+  v2d v0, v1, v2, v3;
+};
+
+constexpr std::size_t k_lanes = 8;
+
+Lanes8 load8(const double* p) {
+  Lanes8 a{};
+  std::memcpy(&a.v0, p, sizeof a.v0);
+  std::memcpy(&a.v1, p + 2, sizeof a.v1);
+  std::memcpy(&a.v2, p + 4, sizeof a.v2);
+  std::memcpy(&a.v3, p + 6, sizeof a.v3);
+  return a;
+}
+
+void store8(double* p, const Lanes8& a) {
+  std::memcpy(p, &a.v0, sizeof a.v0);
+  std::memcpy(p + 2, &a.v1, sizeof a.v1);
+  std::memcpy(p + 4, &a.v2, sizeof a.v2);
+  std::memcpy(p + 6, &a.v3, sizeof a.v3);
+}
+
+/// a -= c * x, lane by lane (a product, then a subtraction).
+void sub_scaled(Lanes8& a, double c, const Lanes8& x) {
+  const v2d cc = splat(c);
+  a.v0 -= cc * x.v0;
+  a.v1 -= cc * x.v1;
+  a.v2 -= cc * x.v2;
+  a.v3 -= cc * x.v3;
+}
+
+/// a += c * x, lane by lane (a product, then an addition).
+void add_scaled(Lanes8& a, double c, const Lanes8& x) {
+  const v2d cc = splat(c);
+  a.v0 += cc * x.v0;
+  a.v1 += cc * x.v1;
+  a.v2 += cc * x.v2;
+  a.v3 += cc * x.v3;
+}
+
+/// How a forward-sweep row is finished: the solve multiplies by 1 / l_ii,
+/// the inversion divides by l_ii, as their scalar loops always did.
+enum class Finish { reciprocal, divide };
+
+void finish8(Lanes8& a, double lii, Finish f) {
+  if (f == Finish::reciprocal) {
+    const v2d inv = splat(1.0 / lii);
+    a.v0 *= inv;
+    a.v1 *= inv;
+    a.v2 *= inv;
+    a.v3 *= inv;
+  } else {
+    const v2d d = splat(lii);
+    a.v0 /= d;
+    a.v1 /= d;
+    a.v2 /= d;
+    a.v3 /= d;
+  }
+}
+
+// Forward substitution in place on a block of right-hand-side lanes: lane c
+// of row k is p[k * stride + c].  Row i becomes
+//   finish(p(i, :) - l_{i,k0} p(k0, :) - ... - l_{i,i-1} p(i-1, :))
+// with the terms subtracted in ascending k.
+
+/// Rows i and i + 1 over eight lanes: the sixteen accumulators stay in
+/// registers across the k loop and share every load of p.
+void sweep_row_pair(const double* l, std::size_t n, double* p,
+                    std::size_t stride, std::size_t k0, std::size_t i,
+                    Finish f) {
+  const double* l0 = l + i * n;
+  const double* l1 = l0 + n;
+  double* p0 = p + i * stride;
+  double* p1 = p0 + stride;
+  Lanes8 a = load8(p0);
+  Lanes8 b = load8(p1);
+  for (std::size_t k = k0; k < i; ++k) {
+    const Lanes8 x = load8(p + k * stride);
+    sub_scaled(a, l0[k], x);
+    sub_scaled(b, l1[k], x);
+  }
+  finish8(a, l0[i], f);
+  store8(p0, a);
+  sub_scaled(b, l1[i], a);
+  finish8(b, l1[i + 1], f);
+  store8(p1, b);
+}
+
+/// Row i over `width` lanes, one lane at a time.
+void sweep_row_scalar(const double* l, std::size_t n, double* p,
+                      std::size_t stride, std::size_t width, std::size_t k0,
+                      std::size_t i, Finish f) {
+  const double* li = l + i * n;
+  double* pi = p + i * stride;
+  for (std::size_t k = k0; k < i; ++k) {
+    const double* pk = p + k * stride;
+    for (std::size_t c = 0; c < width; ++c) pi[c] -= li[k] * pk[c];
+  }
+  if (f == Finish::reciprocal) {
+    const double inv = 1.0 / li[i];
+    for (std::size_t c = 0; c < width; ++c) pi[c] *= inv;
+  } else {
+    for (std::size_t c = 0; c < width; ++c) pi[c] /= li[i];
+  }
+}
+
+/// Sweep rows [k0, n) of columns [j0, j0 + 8) of the row-major x in place.
+/// Row pairs take the vector path; a lone last row and a block cut short by
+/// the right edge go one lane at a time.
+void sweep_columns(const double* l, Matrix& x, std::size_t j0, std::size_t k0,
+                   Finish f) {
+  const std::size_t n = x.rows();
+  const std::size_t stride = x.cols();
+  const std::size_t width = std::min(k_lanes, stride - j0);
+  double* p = x.data().data() + j0;
+  for (std::size_t i = k0; i < n;) {
+    if (width == k_lanes && i + 1 < n) {
+      sweep_row_pair(l, n, p, stride, k0, i, f);
+      i += 2;
+    } else {
+      sweep_row_scalar(l, n, p, stride, width, k0, i, f);
+      ++i;
+    }
+  }
+}
+
+/// K^-1(i, j) = sum_{k >= i} X(k, i) X(k, j) for every j <= i, from the
+/// row-major X = L^-1: each entry starts at +0 and adds its terms in
+/// ascending k.  put(i, j, v) receives each lower-triangle entry once.
+/// Rows i and i + 1 advance together over eight lanes j, sharing the
+/// X(k, j..j+7) loads; lanes past the triangle are computed and dropped.
+template <typename Put>
+void contract_kinv(const Matrix& x, Put&& put) {
+  const std::size_t n = x.rows();
+  const double* d = x.data().data();
+  const auto scalar = [&](std::size_t i, std::size_t j) {
+    double s = 0.0;
+    for (std::size_t k = i; k < n; ++k) s += d[k * n + i] * d[k * n + j];
+    put(i, j, s);
+  };
+  std::size_t i = 0;
+  for (; i + 1 < n; i += 2) {
+    for (std::size_t j0 = 0; j0 <= i + 1; j0 += k_lanes) {
+      const std::size_t j1 = std::min(j0 + k_lanes, i + 2);
+      if (j0 + k_lanes > n) {
+        // The lane block would read past the end of a row.
+        for (std::size_t j = j0; j < j1; ++j) {
+          if (j <= i) scalar(i, j);
+          scalar(i + 1, j);
+        }
+        continue;
+      }
+      Lanes8 a{};
+      Lanes8 b{};
+      const double* xi = d + i * n;
+      add_scaled(a, xi[i], load8(xi + j0));
+      for (std::size_t k = i + 1; k < n; ++k) {
+        const double* xk = d + k * n;
+        const Lanes8 xj = load8(xk + j0);
+        add_scaled(a, xk[i], xj);
+        add_scaled(b, xk[i + 1], xj);
+      }
+      double out_a[k_lanes];
+      double out_b[k_lanes];
+      store8(out_a, a);
+      store8(out_b, b);
+      for (std::size_t j = j0; j < j1; ++j) {
+        if (j <= i) put(i, j, out_a[j - j0]);
+        put(i + 1, j, out_b[j - j0]);
+      }
+    }
+  }
+  for (; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) scalar(i, j);
+}
+
 }  // namespace
 
 std::optional<Matrix> cholesky(const Matrix& a) {
@@ -59,25 +247,13 @@ Vector solve_lower(const Matrix& l, const Vector& b) {
   return x;
 }
 
-Matrix solve_lower_multi(const Matrix& l, const Matrix& b) {
+Matrix solve_lower_multi(const Matrix& l, Matrix b) {
   const std::size_t n = l.rows();
   if (b.rows() != n)
     throw std::invalid_argument("solve_lower_multi: size mismatch");
-  const std::size_t m = b.cols();
-  Matrix x = b;
-  for (std::size_t i = 0; i < n; ++i) {
-    double* xi = x.data().data() + i * m;
-    const double* li = l.data().data() + i * n;
-    for (std::size_t k = 0; k < i; ++k) {
-      const double lik = li[k];
-      if (lik == 0.0) continue;
-      const double* xk = x.data().data() + k * m;
-      for (std::size_t j = 0; j < m; ++j) xi[j] -= lik * xk[j];
-    }
-    const double inv = 1.0 / li[i];
-    for (std::size_t j = 0; j < m; ++j) xi[j] *= inv;
-  }
-  return x;
+  for (std::size_t j0 = 0; j0 < b.cols(); j0 += k_lanes)
+    sweep_columns(l.data().data(), b, j0, 0, Finish::reciprocal);
+  return b;
 }
 
 Vector solve_lower_transposed(const Matrix& l, const Vector& b) {
@@ -249,112 +425,39 @@ void cholesky_solve_into(const Matrix& l, const Vector& b, Vector& x,
   }
 }
 
-void lower_inverse_transposed_into(const Matrix& l, Matrix& t) {
+void lower_inverse_into(const Matrix& l, Matrix& x) {
   const std::size_t n = l.rows();
-  if (t.rows() != n || t.cols() != n) t = Matrix(n, n);
-  // Column j of X = L^{-1} satisfies L x = e_j; exploiting x_i = 0 for i < j
-  // the forward substitution costs n^3/6 MACs total.  Stored transposed
-  // (t(j, i) = X(i, j)) so each column is built along a contiguous row.
-  // Two columns advance together so each L row is loaded once for both.
-  std::size_t j = 0;
-  for (; j + 1 < n; j += 2) {
-    double* tj0 = t.data().data() + j * n;
-    double* tj1 = t.data().data() + (j + 1) * n;
-    for (std::size_t i = 0; i < j; ++i) tj0[i] = 0.0;
-    for (std::size_t i = 0; i <= j; ++i) tj1[i] = 0.0;
-    tj0[j] = 1.0 / l(j, j);
-    {
-      const std::size_t i = j + 1;
-      const double* li = l.data().data() + i * n;
-      tj0[i] = -li[j] * tj0[j] / li[i];
-      tj1[i] = 1.0 / li[i];
-    }
-    for (std::size_t i = j + 2; i < n; ++i) {
-      const double* li = l.data().data() + i * n;
-      double s0 = -li[j] * tj0[j];
-      double s1 = 0.0;
-      for (std::size_t k = j + 1; k < i; ++k) {
-        s0 -= li[k] * tj0[k];
-        s1 -= li[k] * tj1[k];
-      }
-      tj0[i] = s0 / li[i];
-      tj1[i] = s1 / li[i];
-    }
-  }
-  for (; j < n; ++j) {
-    double* tj = t.data().data() + j * n;
-    for (std::size_t i = 0; i < j; ++i) tj[i] = 0.0;
-    tj[j] = 1.0 / l(j, j);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      const double* li = l.data().data() + i * n;
-      double s = 0.0;
-      for (std::size_t k = j; k < i; ++k) s -= li[k] * tj[k];
-      tj[i] = s / li[i];
-    }
-  }
+  if (x.rows() != n || x.cols() != n) x = Matrix(n, n);
+  // X solves L X = I.  Columns j0 .. j0 + 7 are zero above row j0, so their
+  // sweep starts there; for lane j the terms k < j are l_ik * (+0) and leave
+  // its +0 accumulator unchanged, so X(i, j) = (0 - sum_{k=j}^{i-1} l_ik
+  // X(k, j)) / l_ii.
+  std::fill(x.data().begin(), x.data().end(), 0.0);
+  for (std::size_t i = 0; i < n; ++i) x(i, i) = 1.0;
+  for (std::size_t j0 = 0; j0 < n; j0 += k_lanes)
+    sweep_columns(l.data().data(), x, j0, j0, Finish::divide);
 }
 
-void half_kinv_minus_outer_into(const Matrix& t, const Vector& alpha,
+void half_kinv_minus_outer_into(const Matrix& x, const Vector& alpha,
                                 Matrix& dk) {
-  const std::size_t n = t.rows();
+  const std::size_t n = x.rows();
   if (dk.rows() != n || dk.cols() != n) dk = Matrix(n, n);
-  const auto put = [&](std::size_t i, std::size_t j, double kinv_ij) {
+  contract_kinv(x, [&](std::size_t i, std::size_t j, double kinv_ij) {
     const double v = 0.5 * (kinv_ij - alpha[i] * alpha[j]);
     dk(i, j) = v;
     dk(j, i) = v;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ti = t.data().data() + i * n;
-    std::size_t j = 0;
-    // Four columns per pass share each ti load; every entry keeps its own
-    // summation chain over k = i .. n-1.
-    for (; j + 4 <= i + 1; j += 4) {
-      const double* tj0 = t.data().data() + j * n;
-      const double* tj1 = tj0 + n;
-      const double* tj2 = tj1 + n;
-      const double* tj3 = tj2 + n;
-      double k0 = 0.0;
-      double k1 = 0.0;
-      double k2 = 0.0;
-      double k3 = 0.0;
-      for (std::size_t k = i; k < n; ++k) {
-        k0 += ti[k] * tj0[k];
-        k1 += ti[k] * tj1[k];
-        k2 += ti[k] * tj2[k];
-        k3 += ti[k] * tj3[k];
-      }
-      put(i, j, k0);
-      put(i, j + 1, k1);
-      put(i, j + 2, k2);
-      put(i, j + 3, k3);
-    }
-    for (; j <= i; ++j) {
-      const double* tj = t.data().data() + j * n;
-      double kinv_ij = 0.0;
-      for (std::size_t k = i; k < n; ++k) kinv_ij += ti[k] * tj[k];
-      put(i, j, kinv_ij);
-    }
-  }
+  });
 }
 
-void cholesky_inverse_into(const Matrix& l, Matrix& inv, Matrix& t_scratch) {
+void cholesky_inverse_into(const Matrix& l, Matrix& inv, Matrix& x_scratch) {
   const std::size_t n = l.rows();
-  lower_inverse_transposed_into(l, t_scratch);
+  lower_inverse_into(l, x_scratch);
   if (inv.rows() != n || inv.cols() != n) inv = Matrix(n, n);
-  // inv(i, j) = sum_k X(k, i) X(k, j) with X = L^{-1}: the sum starts at
-  // k = max(i, j) because X is lower triangular, and both factors are
-  // contiguous rows of the transposed storage.  Mirrored, so exactly
-  // symmetric — no post-hoc symmetrization needed.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ti = t_scratch.data().data() + i * n;
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double* tj = t_scratch.data().data() + j * n;
-      double s = 0.0;
-      for (std::size_t k = i; k < n; ++k) s += ti[k] * tj[k];
-      inv(i, j) = s;
-      inv(j, i) = s;
-    }
-  }
+  // Mirrored, so exactly symmetric: no post-hoc symmetrization needed.
+  contract_kinv(x_scratch, [&](std::size_t i, std::size_t j, double s) {
+    inv(i, j) = s;
+    inv(j, i) = s;
+  });
 }
 
 }  // namespace kato::la

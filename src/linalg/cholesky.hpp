@@ -32,8 +32,18 @@ JitteredCholesky cholesky_jittered(const Matrix& a, int start_attempt = 0);
 Vector solve_lower(const Matrix& l, const Vector& b);
 /// Solve L X = B for an n x m right-hand-side block in one forward sweep —
 /// the batched-prediction path shares this single triangular solve across
-/// all query columns instead of re-solving per candidate.
-Matrix solve_lower_multi(const Matrix& l, const Matrix& b);
+/// all query columns instead of re-solving per candidate.  B is solved in
+/// place and returned (move a temporary in to skip the copy).  Every entry
+/// is (b_ij - l_i0 x_0j - ... - l_i,i-1 x_i-1,j) * (1 / l_ii), terms in
+/// ascending k.  Eight columns and two rows advance per SSE2 pass; columns
+/// past the last multiple of eight run one at a time, same operations.
+/// Exact-zero l_ik are subtracted like any other term (no zero test, no
+/// second path).  The scalar solve this replaced skipped them, and for
+/// finite B the two differ only in the sign of a zero entry of X: a zero
+/// term changes the running sum only when that sum is itself a zero.
+/// predict_std_rows reads X through squares alone, so its output keeps the
+/// old bits.
+Matrix solve_lower_multi(const Matrix& l, Matrix b);
 /// Solve L^T x = b (back substitution) with L lower triangular.
 Vector solve_lower_transposed(const Matrix& l, const Vector& b);
 /// Solve (L L^T) x = b.
@@ -64,21 +74,25 @@ double cholesky_jittered_into(const Matrix& a, Matrix& l,
 void cholesky_solve_into(const Matrix& l, const Vector& b, Vector& x,
                          Vector& tmp);
 
-/// t = (L^{-1})^T, upper triangular, row-major (row r holds column r of
-/// L^{-1}): both this inversion and the syrk in cholesky_inverse_into walk
-/// contiguous rows.
-void lower_inverse_transposed_into(const Matrix& l, Matrix& t);
+/// x = L^{-1}, lower triangular, row-major.  X(i, j) for i > j is
+/// (0 - l_ij X(j, j) - ... - l_i,i-1 X(i-1, j)) / l_ii with the terms in
+/// ascending k onto a +0 accumulator, X(j, j) = 1 / l_jj, and the upper
+/// triangle is +0: the same bits as one column at a time.  Eight columns
+/// and two rows advance per SSE2 pass, in place, so a reused `x` makes the
+/// call allocation-free.
+void lower_inverse_into(const Matrix& l, Matrix& x);
 
 /// dk = 0.5 (K^-1 - alpha alpha^T), the NLL gradient w.r.t. K, from
-/// t = (L^{-1})^T (K^-1(i, j) = <t_i, t_j> over the triangular support): the
-/// inverse is contracted straight into dk, never materialized on its own.
-/// Exactly symmetric.  `dk` is resized on first use.
-void half_kinv_minus_outer_into(const Matrix& t, const Vector& alpha,
+/// x = L^{-1} (K^-1(i, j) = sum_{k >= i} X(k, i) X(k, j) for j <= i, each
+/// entry summed onto +0 in ascending k): the inverse is contracted straight
+/// into dk, never materialized on its own.  Exactly symmetric.  `dk` is
+/// resized on first use.
+void half_kinv_minus_outer_into(const Matrix& x, const Vector& alpha,
                                 Matrix& dk);
 
-/// inv = (L L^T)^{-1} via T = (L^{-1})^T and inv = T T^T restricted to the
-/// triangular support.  Exactly symmetric by construction.  `t_scratch` is a
-/// caller-owned buffer.
-void cholesky_inverse_into(const Matrix& l, Matrix& inv, Matrix& t_scratch);
+/// inv = (L L^T)^{-1} via x = L^{-1} and the same contraction as
+/// half_kinv_minus_outer_into, so both read identical K^-1 bits.  Exactly
+/// symmetric by construction.  `x_scratch` is a caller-owned buffer.
+void cholesky_inverse_into(const Matrix& l, Matrix& inv, Matrix& x_scratch);
 
 }  // namespace kato::la

@@ -66,10 +66,10 @@ TEST(Acquisition, PfRespectsDirectionsAndCertainty) {
 TEST(Acquisition, ViolationTerms) {
   std::vector<ckt::MetricSpec> specs{{"Gain", "dB", 60.0, true}};
   std::vector<gp::GpPrediction> pred{{50.0, 4.0}};
-  EXPECT_DOUBLE_EQ(bo::total_violation(pred, specs, {1.0}), 10.0);
+  EXPECT_DOUBLE_EQ(bo::total_violation(pred, specs), 10.0);
   EXPECT_DOUBLE_EQ(bo::total_violation_scaled(pred, specs), 5.0);
   std::vector<gp::GpPrediction> fine{{70.0, 4.0}};
-  EXPECT_DOUBLE_EQ(bo::total_violation(fine, specs, {1.0}), 0.0);
+  EXPECT_DOUBLE_EQ(bo::total_violation(fine, specs), 0.0);
 }
 
 // ---------------------------------------------------------------------------

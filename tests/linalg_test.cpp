@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
+#include "scalar_oracles.hpp"
 #include "util/rng.hpp"
 
 namespace la = kato::la;
+namespace oracle = kato::scalar_oracles;
 
 TEST(Matrix, ConstructionAndIndexing) {
   la::Matrix m(2, 3, 1.5);
@@ -298,23 +302,6 @@ bool oracle_cholesky(const la::Matrix& a, la::Matrix& l) {
   return true;
 }
 
-/// One-entry-at-a-time 0.5 (T T^T - alpha alpha^T) over the triangular
-/// support of T = (L^-1)^T.
-la::Matrix oracle_half_kinv_minus_outer(const la::Matrix& t,
-                                        const la::Vector& alpha) {
-  const std::size_t n = t.rows();
-  la::Matrix dk(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j <= i; ++j) {
-      double kinv_ij = 0.0;
-      for (std::size_t k = i; k < n; ++k) kinv_ij += t(i, k) * t(j, k);
-      const double v = 0.5 * (kinv_ij - alpha[i] * alpha[j]);
-      dk(i, j) = v;
-      dk(j, i) = v;
-    }
-  return dk;
-}
-
 la::Matrix random_spd(std::size_t n, std::uint64_t seed) {
   const auto b = random_matrix(n, n, seed);
   la::Matrix spd = la::matmul_nt(b, b);
@@ -354,17 +341,123 @@ TEST(Cholesky, MultiChainFactorRejectsNonPd) {
   }
 }
 
-TEST(Cholesky, DkContractionMatchesScalarOracleBitwise) {
-  for (const std::size_t n : {1, 2, 3, 5, 47, 48, 49, 52, 97, 192}) {
-    SCOPED_TRACE(n);
-    const auto l = la::cholesky(random_spd(n, 400 + n));
-    ASSERT_TRUE(l.has_value());
-    la::Matrix t;
-    la::lower_inverse_transposed_into(*l, t);
-    kato::util::Rng rng(500 + n);
-    const la::Vector alpha = rng.normal_vec(n);
-    la::Matrix dk;
-    la::half_kinv_minus_outer_into(t, alpha, dk);
-    EXPECT_EQ(dk.data(), oracle_half_kinv_minus_outer(t, alpha).data());
+// ---------------------------------------------------------------------------
+// The triangular kernels of the GP (the acquisition's multi-RHS forward solve,
+// L^-1 and the K^-1 contraction) run eight lanes of independent outputs per
+// SSE2 pass.  The scalar loops they replaced are the oracles of
+// scalar_oracles.hpp, and every result must match its oracle bit for bit
+// (the solve up to the sign of a zero where the factor has exact zeros).
+
+namespace {
+
+bool same_bits(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+/// SPD with 5 x 5 diagonal blocks: its factor has exact zeros below the
+/// diagonal.
+la::Matrix block_diagonal_spd(std::size_t n, std::uint64_t seed) {
+  const auto dense = random_spd(n, seed);
+  la::Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (i / 5 == j / 5) a(i, j) = dense(i, j);
+  return a;
+}
+
+const std::size_t k_oracle_sizes[] = {1,  2,  3,  5,  8,   9,   17,
+                                      47, 48, 49, 52, 97, 192, 256};
+
+/// Factors of a dense and a block-diagonal SPD matrix of size n.
+std::vector<la::Matrix> oracle_factors(std::size_t n) {
+  std::vector<la::Matrix> out;
+  for (const auto& a : {random_spd(n, 400 + n), block_diagonal_spd(n, 600 + n)}) {
+    auto l = la::cholesky(a);
+    EXPECT_TRUE(l.has_value());
+    if (l) out.push_back(std::move(*l));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(TriangularKernels, BlockDiagonalFactorHasExactZeros) {
+  const auto l = la::cholesky(block_diagonal_spd(17, 1));
+  ASSERT_TRUE(l.has_value());
+  EXPECT_EQ((*l)(5, 0), 0.0);
+  EXPECT_EQ((*l)(16, 14), 0.0);
+  EXPECT_NE((*l)(16, 15), 0.0);
+}
+
+TEST(TriangularKernels, SolveLowerMultiMatchesScalarOracleBitwise) {
+  for (const std::size_t n : k_oracle_sizes) {
+    const auto factors = oracle_factors(n);
+    for (std::size_t f = 0; f < factors.size(); ++f) {
+      for (const std::size_t m : {1, 2, 7, 8, 9, 16, 24, 31}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " factor=" << f
+                                        << " m=" << m);
+        const auto b = random_matrix(n, m, 700 + n * 37 + m);
+        const la::Matrix x = la::solve_lower_multi(factors[f], b);
+        const la::Matrix ref = oracle::solve_lower_multi(factors[f], b);
+        if (f == 0) {
+          EXPECT_TRUE(same_bits(x, ref));
+        } else {
+          // The oracle skips exact-zero factor entries, the kernel subtracts
+          // them: only the signs of zeros may differ (== treats -0 as +0).
+          EXPECT_EQ(x.data(), ref.data());
+        }
+      }
+    }
+  }
+}
+
+TEST(TriangularKernels, LowerInverseMatchesScalarOracleBitwise) {
+  for (const std::size_t n : k_oracle_sizes) {
+    const auto factors = oracle_factors(n);
+    for (std::size_t f = 0; f < factors.size(); ++f) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " factor=" << f);
+      la::Matrix x;
+      la::lower_inverse_into(factors[f], x);
+      la::Matrix t;
+      oracle::lower_inverse_transposed(factors[f], t, false);
+      EXPECT_TRUE(same_bits(x, t.transpose()));
+      oracle::lower_inverse_transposed(factors[f], t);
+      const la::Matrix paired = t.transpose();
+      if (f == 0) {
+        // No exact zeros in a dense factor: the two oracle loops agree.
+        EXPECT_TRUE(same_bits(x, paired));
+      } else {
+        // Only the signs of zeros may differ, which no K^-1 entry sees (the
+        // contraction sums onto +0; see KinvContractions below).
+        EXPECT_EQ(x.data(), paired.data());
+      }
+    }
+  }
+}
+
+TEST(TriangularKernels, KinvContractionsMatchScalarOraclesBitwise) {
+  for (const std::size_t n : k_oracle_sizes) {
+    const auto factors = oracle_factors(n);
+    for (std::size_t f = 0; f < factors.size(); ++f) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " factor=" << f);
+      la::Matrix t;
+      oracle::lower_inverse_transposed(factors[f], t);
+      la::Matrix x;
+      la::lower_inverse_into(factors[f], x);
+      kato::util::Rng rng(500 + n);
+      const la::Vector alpha = rng.normal_vec(n);
+      la::Matrix dk;
+      la::half_kinv_minus_outer_into(x, alpha, dk);
+      la::Matrix dk_ref;
+      oracle::half_kinv_minus_outer(t, alpha, dk_ref);
+      EXPECT_TRUE(same_bits(dk, dk_ref));
+      la::Matrix inv;
+      la::Matrix scratch;
+      la::cholesky_inverse_into(factors[f], inv, scratch);
+      EXPECT_TRUE(same_bits(inv, oracle::kinv(t)));
+      EXPECT_TRUE(same_bits(scratch, x));
+    }
   }
 }

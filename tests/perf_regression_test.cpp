@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 
 #include "bo/mace.hpp"
@@ -198,12 +199,11 @@ namespace {
 
 /// NeuK MultiGp on a d-dimensional toy set, one target column per metric.
 gp::MultiGp neuk_multi_gp(std::size_t metrics, std::size_t d,
-                          kato::util::Rng& rng) {
+                          kato::util::Rng& rng, std::size_t n = 36) {
   gp::MultiGp multi(metrics, [&] {
     kern::NeukConfig cfg;
     return std::make_unique<kern::NeukKernel>(d, cfg, rng);
   });
-  const std::size_t n = 36;
   const la::Matrix x = random_points(n, d, rng);
   la::Matrix y(n, metrics);
   for (std::size_t i = 0; i < n; ++i)
@@ -216,12 +216,20 @@ gp::MultiGp neuk_multi_gp(std::size_t metrics, std::size_t d,
 }  // namespace
 
 // Metric counts 1, 2, 4 and 5 against 1-4 workers cover fewer metrics than
-// workers (split query ranges), equal, more, and an uneven metric split.
+// workers (split query ranges), equal, more, and an uneven metric split.  The
+// 53-row, 37-query shape leaves a lone last row and ragged lane blocks in
+// the forward solve of every query range.
 TEST(PredictBatch, MultiGpBitIdenticalAcrossThreadCounts) {
-  for (const std::size_t metrics : {1u, 2u, 4u, 5u}) {
+  struct Shape {
+    std::size_t metrics, n, queries;
+  };
+  for (const Shape shape : {Shape{1, 36, 13}, Shape{2, 36, 13},
+                            Shape{4, 36, 13}, Shape{5, 36, 13},
+                            Shape{3, 53, 37}}) {
+    const std::size_t metrics = shape.metrics;
     kato::util::Rng rng(60 + metrics);
-    const auto multi = neuk_multi_gp(metrics, 4, rng);
-    const auto q = random_points(13, 4, rng);
+    const auto multi = neuk_multi_gp(metrics, 4, rng, shape.n);
+    const auto q = random_points(shape.queries, 4, rng);
 
     std::vector<std::vector<gp::GpPrediction>> per_metric;
     {
@@ -242,6 +250,62 @@ TEST(PredictBatch, MultiGpBitIdenticalAcrossThreadCounts) {
               << metrics << " metrics, threads " << threads << ", query " << i;
         }
       }
+    }
+  }
+}
+
+// Two clusters of training points too far apart for the RBF kernel: K is
+// block-diagonal with exact zeros, and so is its factor.  The forward solve
+// subtracts those zero terms; the variance must still have the bits of a GP
+// that holds only the query's own cluster (whose factor is the matching
+// diagonal block, with no zeros to subtract), at any thread count.  The
+// first cluster fills one 48-row Cholesky panel, so both blocks of the
+// union's factor take the same operations as the single-cluster factors.
+TEST(PredictBatch, StdBatchVarianceBitsWithExactZerosInFactor) {
+  const std::size_t d = 2;
+  const std::size_t n_a = 48;
+  const std::size_t n_b = 29;
+  kato::util::Rng rng(67);
+  const auto cluster = [&](std::size_t n, double lo) {
+    la::Matrix x(n, d);
+    for (auto& v : x.data()) v = lo + 0.05 * rng.uniform();
+    return x;
+  };
+  const la::Matrix xa = cluster(n_a, 0.0);
+  const la::Matrix xb = cluster(n_b, 0.95);
+  la::Matrix x(n_a + n_b, d);
+  for (std::size_t i = 0; i < n_a; ++i) x.set_row(i, xa.row(i));
+  for (std::size_t i = 0; i < n_b; ++i) x.set_row(n_a + i, xb.row(i));
+  const auto model = [&](const la::Matrix& xs) {
+    auto kernel =
+        std::make_unique<kern::StationaryArd>(kern::StationaryType::rbf, d);
+    for (std::size_t j = 0; j < d; ++j) kernel->params()[1 + j] = std::log(1e3);
+    gp::GaussianProcess g(std::move(kernel));
+    la::Vector y(xs.rows());
+    for (std::size_t i = 0; i < xs.rows(); ++i) y[i] = std::sin(7.0 * xs(i, 0));
+    g.set_data(xs, y);
+    return g;
+  };
+  const auto both = model(x);
+  ASSERT_EQ(both.kernel().matrix(x)(n_a, 0), 0.0);
+  ASSERT_NE(both.kernel().matrix(x)(1, 0), 0.0);
+
+  const la::Matrix qa = cluster(19, 0.0);
+  const la::Matrix qb = cluster(18, 0.95);
+  const auto ref_a = model(xa).predict_std_batch(qa);
+  const auto ref_b = model(xb).predict_std_batch(qb);
+  la::Matrix q(qa.rows() + qb.rows(), d);
+  for (std::size_t i = 0; i < qa.rows(); ++i) q.set_row(i, qa.row(i));
+  for (std::size_t i = 0; i < qb.rows(); ++i) q.set_row(qa.rows() + i, qb.row(i));
+  for (const char* threads : {"1", "4"}) {
+    ThreadsEnv env(threads);
+    const auto got = both.predict_std_batch(q);
+    for (std::size_t i = 0; i < q.rows(); ++i) {
+      const double want =
+          i < qa.rows() ? ref_a[i].var : ref_b[i - qa.rows()].var;
+      EXPECT_EQ(std::memcmp(&got[i].var, &want, sizeof want), 0)
+          << "threads " << threads << ", query " << i << ": " << got[i].var
+          << " vs " << want;
     }
   }
 }
