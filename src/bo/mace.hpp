@@ -30,19 +30,14 @@ struct MaceOptions {
 /// metrics[0] (minimized), the rest follow `specs`.  `y_best` is the
 /// incumbent feasible objective (+inf if none yet: acquisitions then reduce
 /// to feasibility search).  `seeds` inject incumbent designs into NSGA-II.
+/// With no specs (FOM mode: one surrogate metric, -FOM) the probability of
+/// feasibility is exactly 1 and the modified variant is the plain
+/// {EI, PI, UCB} front.
 moo::ParetoSet mace_proposals(const Surrogate& surrogate,
                               const std::vector<ckt::MetricSpec>& specs,
                               double y_best, const MaceOptions& options,
                               util::Rng& rng,
                               const std::vector<std::vector<double>>& seeds);
-
-/// Same machinery for an unconstrained single-metric problem (FOM mode):
-/// Pareto front of {EI, PI, UCB} alone.
-moo::ParetoSet mace_proposals_unconstrained(const Surrogate& surrogate,
-                                            double y_best,
-                                            const MaceOptions& options,
-                                            util::Rng& rng,
-                                            const std::vector<std::vector<double>>& seeds);
 
 /// Draw `count` distinct points from a Pareto set (random without
 /// replacement; uniform-random fill if the set is too small).

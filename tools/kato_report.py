@@ -16,6 +16,12 @@ Usage:
   kato_report.py A.jsonl B.jsonl               A/B diff of two journals
                                                (matched on circuit/mode/
                                                method/seed), used by CI
+  kato_report.py A.jsonl B.jsonl --identical   strict A/B: exit 1 unless every
+                                               run in A has a twin in B (same
+                                               circuit/mode/method/seed) and
+                                               back, with equal records in
+                                               every field but eval_ms and
+                                               the run id
   kato_report.py RUN.jsonl --check             validate only: every line must
                                                parse, every event must carry
                                                its required keys, and each
@@ -47,12 +53,19 @@ REQUIRED = {
 
 STAGES = ["dc", "ac", "tran", "eval", "gp_fit", "acquisition"]
 FAIL_KEYS = ["fail_dc", "fail_ac", "fail_tran", "fail_measure"]
+# Fields --identical does not compare: wall-time and the process-local run id.
+UNCOMPARED = ("eval_ms", "run")
+
 RECOVERY_KEYS = [
     "dc_homotopy_escalations", "dc_pseudo_transients",
     "tran_stepfloor_restarts", "tran_device_fallbacks",
     "lu_pivot_fallbacks", "gp_jitter_retries",
     "deadline_kills", "faults_injected",
 ]
+
+
+def parse_int(text):
+    return -0.0 if text == "-0" else int(text)
 
 
 def load_journal(path, errors):
@@ -68,7 +81,9 @@ def load_journal(path, errors):
             errors.append(f"{path}:{i}: blank line")
             continue
         try:
-            event = json.loads(line)
+            # "-0" (a negative zero printed by %.17g) stays a float so the
+            # strict A/B comparison sees its sign.
+            event = json.loads(line, parse_int=parse_int)
         except json.JSONDecodeError as exc:
             errors.append(f"{path}:{i}: not valid JSON ({exc})")
             continue
@@ -277,6 +292,69 @@ def report_ab(runs_a, runs_b, label_a, label_b):
     return lines
 
 
+def runs_by_key(runs):
+    """Complete runs grouped by circuit/mode/method/seed, in journal order
+    (repeated keys, e.g. one method with and without transfer, pair up by
+    occurrence)."""
+    grouped = {}
+    for run in runs.values():
+        if run["begin"] is not None:
+            grouped.setdefault(run_key(run), []).append(run)
+    return grouped
+
+
+def event_difference(event_a, event_b, where):
+    """First field in which two records differ, or None."""
+    if event_a is None or event_b is None:
+        side = "A" if event_a is None else "B"
+        return f"{where} missing in {side}"
+    keys = sorted((set(event_a) | set(event_b)) - set(UNCOMPARED))
+    for key in keys:
+        if key not in event_a or key not in event_b:
+            side = "A" if key in event_a else "B"
+            return f"{where}: field {key!r} only in {side}"
+        # json.dumps tells -0.0 from 0 and prints floats round-trip exact.
+        if (json.dumps(event_a[key], sort_keys=True)
+                != json.dumps(event_b[key], sort_keys=True)):
+            return f"{where}: {key} differs"
+    return None
+
+
+def run_difference(run_a, run_b):
+    diff = event_difference(run_a["begin"], run_b["begin"], "run_begin")
+    if diff:
+        return diff
+    iters_a, iters_b = run_a["iters"], run_b["iters"]
+    if len(iters_a) != len(iters_b):
+        return (f"{len(iters_a)} iteration record(s) in A, "
+                f"{len(iters_b)} in B")
+    for i, (it_a, it_b) in enumerate(zip(iters_a, iters_b)):
+        diff = event_difference(it_a, it_b, f"iteration record {i}")
+        if diff:
+            return diff
+    return event_difference(run_a["end"], run_b["end"], "run_end")
+
+
+def compare_identical(runs_a, runs_b):
+    """Strict A/B: (matched run count, list of differences)."""
+    grouped_a, grouped_b = runs_by_key(runs_a), runs_by_key(runs_b)
+    problems = []
+    matched = 0
+    for key in sorted(set(grouped_a) | set(grouped_b), key=str):
+        list_a, list_b = grouped_a.get(key, []), grouped_b.get(key, [])
+        name = " · ".join(map(str, key))
+        if len(list_a) != len(list_b):
+            problems.append(f"{name}: {len(list_a)} run(s) in A, "
+                            f"{len(list_b)} in B")
+        for n, (run_a, run_b) in enumerate(zip(list_a, list_b), 1):
+            diff = run_difference(run_a, run_b)
+            if diff:
+                problems.append(f"{name} (#{n}): {diff}")
+            else:
+                matched += 1
+    return matched, problems
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Markdown reports from KATO run journals / stats dumps")
@@ -288,6 +366,9 @@ def main():
     parser.add_argument("--stats-b", help="second stats dump (A/B)")
     parser.add_argument("--check", action="store_true",
                         help="validate schema and regret replay, no report")
+    parser.add_argument("--identical", action="store_true",
+                        help="strict A/B of two journals: exit 1 unless "
+                             "every run matches record for record")
     parser.add_argument("--title", default="KATO run report")
     args = parser.parse_args()
 
@@ -307,6 +388,20 @@ def main():
         n_iters = sum(len(r["iters"]) for r in runs_a.values())
         print(f"{args.journal}: OK ({len(events_a)} events, "
               f"{len(runs_a)} run(s), {n_iters} iteration record(s))")
+        return 0
+
+    if args.identical:
+        if not args.journal_b:
+            parser.error("--identical needs two journals")
+        events_b = load_journal(args.journal_b, errors)
+        runs_b = group_runs(events_b, args.journal_b, errors)
+        matched, problems = compare_identical(runs_a, runs_b)
+        for err in errors + problems:
+            print("IDENTICAL FAIL:", err, file=sys.stderr)
+        if errors or problems:
+            return 1
+        print(f"{args.journal} and {args.journal_b}: identical "
+              f"({matched} run(s) matched)")
         return 0
 
     lines = [f"## {args.title}", ""]
