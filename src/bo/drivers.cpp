@@ -521,11 +521,12 @@ RunResult run_bo(const Scoring& scoring, const Method& method,
   auto* gp_view = dynamic_cast<GpSurrogate*>(self_model.get());  // journal
   rf::RandomForest forest;
 
-  // STL weights (Alg. 1): initialized with the sample counts, indexed like
-  // the proposal sets below (KAT-GP, self-model).
-  std::array<double, 2> w = {transfer ? method.kat_samples : 0.0,
-                             static_cast<double>(config.n_init)};
+  // STL weights (Alg. 1), indexed like the proposal sets below (KAT-GP,
+  // self-model): initialized with the sample counts when STL splits the
+  // batch, reported as 0:0 when it does not.
   const bool stl = transfer && config.use_stl;
+  std::array<double, 2> w = {0.0, 0.0};
+  if (stl) w = {method.kat_samples, static_cast<double>(config.n_init)};
 
   MaceOptions mace_opts;
   mace_opts.variant = method.variant;

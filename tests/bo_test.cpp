@@ -238,6 +238,49 @@ TEST(Drivers, TransferSourceAndStlRun) {
   EXPECT_GE(r.stl_w_self, 60.0);
 }
 
+TEST(Drivers, StlWeightsAreZeroWhenStlIsUnused) {
+  // RunResult::stl_w_* carry Alg. 1's weights only when STL splits the
+  // batch between KAT-GP and the self-model; every other run reports 0:0.
+  auto src_circuit = ckt::make_circuit("opamp2", "180nm");
+  auto circuit = ckt::make_circuit("opamp2", "40nm");
+  const auto source =
+      bo::build_transfer_source(*src_circuit, 20, bo::KernelKind::rbf, 7);
+  kato::util::Rng rng(4);
+  const auto norm = ckt::calibrate_fom(*circuit, 60, rng);
+  bo::BoConfig cfg;
+  cfg.n_init = 12;
+  cfg.iterations = 2;
+  cfg.batch = 2;
+  cfg.nsga.population = 12;
+  cfg.nsga.generations = 4;
+  cfg.gp_initial.iterations = 10;
+  cfg.kat.init_iterations = 20;
+  bo::BoConfig no_stl = cfg;
+  no_stl.use_stl = false;
+
+  const auto expect_zero = [](const bo::RunResult& r, const char* what) {
+    EXPECT_EQ(r.stl_w_kat, 0.0) << what;
+    EXPECT_EQ(r.stl_w_self, 0.0) << what;
+  };
+  using CM = bo::ConstrainedMethod;
+  using FM = bo::FomMethod;
+  expect_zero(bo::run_constrained(*circuit, CM::kato, cfg, 3),
+              "constrained KATO without a source");
+  expect_zero(bo::run_constrained(*circuit, CM::kato, no_stl, 3, &source),
+              "constrained KATO, use_stl=false");
+  expect_zero(bo::run_constrained(*circuit, CM::mesmoc, cfg, 3), "MESMOC");
+  expect_zero(bo::run_fom(*circuit, norm, FM::kato, cfg, 3),
+              "FOM KATO without a source");
+  expect_zero(bo::run_fom(*circuit, norm, FM::kato, no_stl, 3, &source),
+              "FOM KATO, use_stl=false");
+  expect_zero(bo::run_fom(*circuit, norm, FM::smac_rf, cfg, 3), "SMAC-RF");
+
+  // With STL the weights start at the sample counts and only grow.
+  const auto r = bo::run_fom(*circuit, norm, FM::kato, cfg, 3, &source);
+  EXPECT_GE(r.stl_w_kat, 20.0);
+  EXPECT_GE(r.stl_w_self, 12.0);
+}
+
 TEST(Drivers, TlmboRequiresSource) {
   auto circuit = ckt::make_circuit("opamp2", "40nm");
   kato::util::Rng rng(5);
