@@ -16,6 +16,17 @@
 //   feasible-LCB) and USEMOC-lite (uncertainty-driven), per PAPER.md
 //   "Reproduction substitutions".
 //
+// Both modes run one BO loop (drivers.cpp): a random DOE, then per iteration
+// a surrogate refit and one proposal batch, split between KAT-GP and the
+// self-model by STL when a transfer source is present.  What differs by
+// mode sits in one small scoring policy: the scalar a simulation is ranked
+// by (feasible metrics[0] minimized, or the FOM maximized), feasibility,
+// the surrogate's training targets (every metric, or -FOM), the order of
+// the NSGA-II incumbent seeds, and whether the journal reports constraint
+// violations.  The training-set cap also differs on purpose: constrained
+// runs keep every feasible design plus the most recent ones, FOM runs the
+// best half by FOM plus the most recent ones.
+//
 // Every driver consumes an explicit seed and returns the per-simulation
 // running-best trace that the figure benches aggregate across seeds.
 
@@ -65,7 +76,8 @@ struct RunResult {
   std::vector<std::optional<std::vector<double>>> metrics_history;
   std::vector<double> best_x;
   std::vector<double> best_metrics;  ///< empty if nothing feasible was found
-  /// STL diagnostics: final weights (w_kat, w_self); zeros when STL unused.
+  /// STL diagnostics: final weights (w_kat, w_self) of Alg. 1; 0:0 when
+  /// STL is unused (no transfer source, use_stl=false, or a baseline).
   double stl_w_kat = 0.0;
   double stl_w_self = 0.0;
 };

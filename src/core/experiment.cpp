@@ -83,6 +83,31 @@ void journal_series(const char* event, const std::string& name,
   obs::journal_write(o.take());
 }
 
+/// One method over a seed list: run(seed) per seed, journaled and
+/// aggregated into the median/quartile band.  Seeds are independent runs
+/// (each builds its own RNG from its seed and the circuit is read-only), so
+/// the series fans out across the worker pool; run i lands in slot i
+/// regardless of KATO_THREADS, keeping the aggregate bit-identical to the
+/// sequential loop.
+MethodSeries run_series(
+    const std::string& name, const ckt::SizingCircuit& circuit, bool fom,
+    const std::vector<std::uint64_t>& seeds,
+    const std::function<bo::RunResult(std::uint64_t)>& run) {
+  const char* mode = fom ? "fom" : "constrained";
+  MethodSeries series;
+  series.name = name;
+  series.runs.resize(seeds.size());
+  journal_series("series_begin", series.name, circuit, mode, seeds, nullptr);
+  for_each_seed(seeds.size(),
+                [&](std::size_t i) { series.runs[i] = run(seeds[i]); });
+  std::vector<std::vector<double>> traces;
+  for (const auto& r : series.runs) traces.push_back(r.trace);
+  sanitize_traces(traces, /*minimize=*/!fom);
+  series.band = util::aggregate_traces(traces);
+  journal_series("series_end", series.name, circuit, mode, seeds, &series);
+  return series;
+}
+
 }  // namespace
 
 TransferComparison run_transfer_comparison(
@@ -107,26 +132,11 @@ MethodSeries run_constrained_series(const ckt::SizingCircuit& circuit,
                                     const std::vector<std::uint64_t>& seeds,
                                     const bo::TransferSource* source,
                                     const std::string& label) {
-  MethodSeries series;
-  series.name = label.empty() ? bo::to_string(method) : label;
-  // Seeds are independent runs (each builds its own RNG from its seed and
-  // the circuit is read-only), so the series fans out across the worker
-  // pool; run i lands in slot i regardless of KATO_THREADS, keeping the
-  // aggregate bit-identical to the sequential loop.
-  series.runs.resize(seeds.size());
-  journal_series("series_begin", series.name, circuit, "constrained", seeds,
-                 nullptr);
-  for_each_seed(seeds.size(), [&](std::size_t i) {
-    series.runs[i] =
-        bo::run_constrained(circuit, method, config, seeds[i], source);
-  });
-  std::vector<std::vector<double>> traces;
-  for (const auto& run : series.runs) traces.push_back(run.trace);
-  sanitize_traces(traces, /*minimize=*/true);
-  series.band = util::aggregate_traces(traces);
-  journal_series("series_end", series.name, circuit, "constrained", seeds,
-                 &series);
-  return series;
+  return run_series(label.empty() ? bo::to_string(method) : label, circuit,
+                    /*fom=*/false, seeds, [&](std::uint64_t seed) {
+                      return bo::run_constrained(circuit, method, config, seed,
+                                                 source);
+                    });
 }
 
 MethodSeries run_fom_series(const ckt::SizingCircuit& circuit,
@@ -135,19 +145,11 @@ MethodSeries run_fom_series(const ckt::SizingCircuit& circuit,
                             const std::vector<std::uint64_t>& seeds,
                             const bo::TransferSource* source,
                             const std::string& label) {
-  MethodSeries series;
-  series.name = label.empty() ? bo::to_string(method) : label;
-  series.runs.resize(seeds.size());
-  journal_series("series_begin", series.name, circuit, "fom", seeds, nullptr);
-  for_each_seed(seeds.size(), [&](std::size_t i) {
-    series.runs[i] = bo::run_fom(circuit, norm, method, config, seeds[i], source);
-  });
-  std::vector<std::vector<double>> traces;
-  for (const auto& run : series.runs) traces.push_back(run.trace);
-  sanitize_traces(traces, /*minimize=*/false);
-  series.band = util::aggregate_traces(traces);
-  journal_series("series_end", series.name, circuit, "fom", seeds, &series);
-  return series;
+  return run_series(label.empty() ? bo::to_string(method) : label, circuit,
+                    /*fom=*/true, seeds, [&](std::uint64_t seed) {
+                      return bo::run_fom(circuit, norm, method, config, seed,
+                                         source);
+                    });
 }
 
 void print_series(std::ostream& os, const std::string& title,

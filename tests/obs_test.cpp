@@ -655,22 +655,32 @@ bo::BoConfig journal_test_config() {
   return cfg;
 }
 
-/// Run the same seeded constrained optimization with the journal off and
-/// on; require a bit-identical trajectory and a schema-complete journal
-/// whose run_end replays the run's own best-so-far curve.
-void check_journaled_run(const std::string& deck_name) {
+/// Run the same seeded KATO optimization (constrained, or FOM with
+/// `fom`) with the journal off and on; require a bit-identical trajectory
+/// and a schema-complete journal whose run_end replays the run's own
+/// best-so-far curve.
+void check_journaled_run(const std::string& deck_name, bool fom = false) {
   const auto deck =
       ckt::NetlistCircuit::from_file(deck_path(deck_name), ckt::pdk_180nm());
   const bo::BoConfig cfg = journal_test_config();
+  ckt::FomNormalization norm;
+  if (fom) {
+    kato::util::Rng norm_rng(9);
+    norm = ckt::calibrate_fom(*deck, 40, norm_rng);
+  }
+  const auto run = [&] {
+    return fom ? bo::run_fom(*deck, norm, bo::FomMethod::kato, cfg, 5)
+               : bo::run_constrained(*deck, bo::ConstrainedMethod::kato, cfg,
+                                     5);
+  };
 
-  const auto plain =
-      bo::run_constrained(*deck, bo::ConstrainedMethod::kato, cfg, 5);
+  const auto plain = run();
 
-  const std::string path = trace_path("obs_journal_" + deck_name + ".jsonl");
+  const std::string path = trace_path("obs_journal_" + deck_name +
+                                      (fom ? "_fom" : "") + ".jsonl");
   obs::journal_begin(path);
   ASSERT_TRUE(obs::journal_enabled());
-  const auto journaled =
-      bo::run_constrained(*deck, bo::ConstrainedMethod::kato, cfg, 5);
+  const auto journaled = run();
   const std::size_t lines = obs::journal_end();
 
   // Journaling is value-free: same seed, same trajectory, to the bit.
@@ -697,7 +707,13 @@ void check_journaled_run(const std::string& deck_name) {
   }
   const std::string& begin = events.front();
   EXPECT_NE(begin.find("\"event\":\"run_begin\""), std::string::npos);
-  EXPECT_NE(begin.find("\"mode\":\"constrained\""), std::string::npos);
+  EXPECT_NE(begin.find(fom ? "\"mode\":\"fom\"" : "\"mode\":\"constrained\""),
+            std::string::npos);
+  // FOM mode has no constraint vector to report on.
+  if (fom) {
+    for (const auto& e : events)
+      EXPECT_EQ(e.find("best_violation"), std::string::npos) << e;
+  }
   EXPECT_NE(begin.find("\"method\":\"KATO\""), std::string::npos);
   EXPECT_NE(begin.find("\"seed\":5"), std::string::npos);
   EXPECT_NE(begin.find("\"config\":{"), std::string::npos);
@@ -747,6 +763,10 @@ TEST(ObsBo, JournaledOpamp2RunBitIdenticalAndSchemaComplete) {
 
 TEST(ObsBo, JournaledBufferTranRunBitIdenticalAndSchemaComplete) {
   check_journaled_run("buffer_tran.cir");
+}
+
+TEST(ObsBo, JournaledFomRunBitIdenticalAndSchemaComplete) {
+  check_journaled_run("opamp2.cir", /*fom=*/true);
 }
 
 }  // namespace
