@@ -518,7 +518,8 @@ RunResult run_bo(const Scoring& scoring, const Method& method,
   if (transfer)
     kat_model = std::make_unique<KatSurrogate>(
         method.kat_source, dim, scoring.n_targets(), config.kat, model_rng);
-  auto* gp_view = dynamic_cast<GpSurrogate*>(self_model.get());  // journal
+  // GP view of the self-model for the journal's gp payload (null for TLMBO).
+  auto* gp_view = dynamic_cast<GpSurrogate*>(self_model.get());
   rf::RandomForest forest;
 
   // STL weights (Alg. 1), indexed like the proposal sets below (KAT-GP,
