@@ -10,7 +10,7 @@ namespace kato::ckt {
 
 namespace {
 
-/// Shared AC measurement: differential stimulus already wired into the
+/// OpAmp AC measurement: differential stimulus already wired into the
 /// circuit; extracts [Itotal(uA), Gain(dB), PM(deg), GBW(MHz)].
 std::optional<std::vector<double>> measure_opamp(const sim::Circuit& ckt,
                                                  int out_node,
@@ -32,80 +32,6 @@ std::optional<std::vector<double>> measure_opamp(const sim::Circuit& ckt,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Two-stage OpAmp.
-
-TwoStageOpAmp::TwoStageOpAmp(const Pdk& pdk) : pdk_(pdk) {
-  space_.add("L1", pdk.lmin, pdk.lmax);
-  space_.add("W1", 20.0 * pdk.lmin, 2000.0 * pdk.lmin);
-  space_.add("L2", pdk.lmin, pdk.lmax);
-  space_.add("W2", 20.0 * pdk.lmin, 2000.0 * pdk.lmin);
-  const double cap_scale = pdk.vdd / 1.8;  // smaller nodes use smaller caps
-  space_.add("Cc", 0.3e-12 * cap_scale, 10e-12 * cap_scale);
-  space_.add("Rz", 100.0, 50e3);
-  space_.add("I1", 2e-6, 300e-6);
-  space_.add("I2", 2e-6, 500e-6);
-
-  const bool node180 = pdk.name == "180nm";
-  specs_ = {
-      {"Gain", "dB", node180 ? 60.0 : 50.0, true},
-      {"PM", "deg", 60.0, true},
-      {"GBW", "MHz", 4.0, true},
-  };
-}
-
-std::optional<std::vector<double>> TwoStageOpAmp::evaluate(
-    const std::vector<double>& unit_x) const {
-  const auto p = space_.to_physical(unit_x);
-  const double l1 = p[0], w1 = p[1], l2 = p[2], w2 = p[3];
-  const double cc = p[4], rz = p[5], i1 = p[6], i2 = p[7];
-
-  sim::Circuit ckt;
-  const int vdd = ckt.new_node("vdd");
-  const int inp = ckt.new_node("inp");
-  const int inn = ckt.new_node("inn");
-  const int ns = ckt.new_node("ns");    // diff-pair common source
-  const int n1 = ckt.new_node("n1");    // mirror diode
-  const int n2 = ckt.new_node("n2");    // first-stage output
-  const int bp = ckt.new_node("bp");    // second-stage PMOS bias
-  const int nc = ckt.new_node("nc");    // compensation midpoint
-  const int out = ckt.new_node("out");
-
-  const int vdd_src = ckt.add_vsource(vdd, sim::Circuit::ground, pdk_.vdd);
-  const double vcm = 0.35 * pdk_.vdd;  // PMOS-pair common mode
-  ckt.add_vsource(inp, sim::Circuit::ground, vcm, +0.5);
-  ckt.add_vsource(inn, sim::Circuit::ground, vcm, -0.5);
-
-  // First stage: ideal tail from VDD, PMOS pair, NMOS mirror load.
-  ckt.add_isource(vdd, ns, i1);
-  ckt.add_mosfet(n1, inn, ns, w1, l1, pdk_.pmos);
-  ckt.add_mosfet(n2, inp, ns, w1, l1, pdk_.pmos);
-  ckt.add_mosfet(n1, n1, sim::Circuit::ground, w1, l1, pdk_.nmos);
-  ckt.add_mosfet(n2, n1, sim::Circuit::ground, w1, l1, pdk_.nmos);
-
-  // Second stage: NMOS common source with PMOS mirror load carrying I2.
-  ckt.add_mosfet(out, n2, sim::Circuit::ground, w2, l2, pdk_.nmos);
-  ckt.add_isource(bp, sim::Circuit::ground, i2);  // pulls I2 through the diode
-  ckt.add_mosfet(bp, bp, vdd, 2.0 * w2, l2, pdk_.pmos);
-  ckt.add_mosfet(out, bp, vdd, 2.0 * w2, l2, pdk_.pmos);
-
-  // Miller compensation Rz + Cc, fixed load capacitance.
-  ckt.add_resistor(n2, nc, rz);
-  ckt.add_capacitor(nc, out, cc);
-  ckt.add_capacitor(out, sim::Circuit::ground, pdk_.name == "180nm" ? 3e-12 : 1e-12);
-
-  return measure_opamp(ckt, out, vdd_src);
-}
-
-std::vector<double> TwoStageOpAmp::expert_design() const {
-  // Feasible but deliberately conservative sizings (comfortable margins on
-  // every spec, generous currents) — the role the "Human Expert" rows play
-  // in the paper's Tables 1-2.  Unit-box coordinates.
-  if (pdk_.name == "180nm")
-    return {0.4537, 0.0732, 0.1869, 0.7354, 0.3845, 0.3617, 0.2721, 0.7390};
-  return {0.0491, 0.1074, 0.3264, 0.9743, 0.4486, 0.2455, 0.2624, 0.7001};
-}
 
 // ---------------------------------------------------------------------------
 // Three-stage OpAmp.
@@ -223,7 +149,9 @@ std::optional<std::vector<double>> ThreeStageOpAmp::evaluate(
 }
 
 std::vector<double> ThreeStageOpAmp::expert_design() const {
-  // See TwoStageOpAmp::expert_design for the role these play.
+  // Feasible but deliberately conservative sizings (comfortable margins on
+  // every spec, generous currents) — the role the "Human Expert" rows play
+  // in the paper's Tables 1-2.  Unit-box coordinates.
   if (pdk_.name == "180nm")
     return {0.5182, 0.0623, 0.0123, 0.4530, 0.2462,
             0.6221, 0.5673, 0.4080, 0.5463, 0.8238};

@@ -1,18 +1,14 @@
 #pragma once
-// The paper's operational-amplifier benchmarks (Fig. 3a, 3b) and the small
-// second-stage amplifier used for the Fig. 1 kernel assessment.
-//
-// Two-stage OpAmp (Miller OTA): PMOS differential pair with ideal tail
-// current, NMOS current-mirror load, NMOS common-source second stage with a
-// real PMOS mirror load, RC (Rz + Cc) Miller compensation, fixed load cap.
-// Design variables: L1, W1 (first stage), L2, W2 (second stage), Cc, Rz,
-// I1, I2 — the variable families named in Sec. 4 (Eq. 15).
+// The paper's three-stage operational-amplifier benchmark (Fig. 3b) and the
+// small second-stage amplifier used for the Fig. 1 kernel assessment.  The
+// two-stage OpAmp (Fig. 3a) is the shipped deck circuits/netlists/opamp2.cir
+// (make_circuit("opamp2", node)).
 //
 // Three-stage OpAmp: NMOS input pair, PMOS common-source middle stage, NMOS
 // common-source output stage, nested-Miller compensation (C0 outer, C1
 // inner).  Ten design variables (Eq. 16's families plus per-stage geometry),
-// deliberately a different dimensionality from the two-stage amp so the
-// topology-transfer experiments exercise the KAT encoder across spaces.
+// deliberately a different dimensionality from the two-stage amp's eight so
+// the topology-transfer experiments exercise the KAT encoder across spaces.
 //
 // Metrics vector (both amps): [Itotal(uA), Gain(dB), PM(deg), GBW(MHz)],
 // objective = Itotal.
@@ -23,24 +19,6 @@
 #include "circuits/sizing_problem.hpp"
 
 namespace kato::ckt {
-
-class TwoStageOpAmp final : public SizingCircuit {
- public:
-  explicit TwoStageOpAmp(const Pdk& pdk);
-
-  std::string name() const override { return "two-stage-opamp-" + pdk_.name; }
-  const DesignSpace& space() const override { return space_; }
-  std::string objective_name() const override { return "Itotal(uA)"; }
-  const std::vector<MetricSpec>& constraints() const override { return specs_; }
-  std::optional<std::vector<double>> evaluate(
-      const std::vector<double>& unit_x) const override;
-  std::vector<double> expert_design() const override;
-
- private:
-  Pdk pdk_;
-  DesignSpace space_;
-  std::vector<MetricSpec> specs_;
-};
 
 class ThreeStageOpAmp final : public SizingCircuit {
  public:

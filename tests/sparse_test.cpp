@@ -448,7 +448,7 @@ TEST(EvalBatch, LadderBatchBitIdenticalAcrossThreads) {
 
 TEST(EvalBatch, DefaultImplementationIsSerialLoop) {
   // Hand-written circuits get the base-class batch: exactly the serial loop.
-  const auto circuit = ckt::make_circuit("opamp2", "180nm");
+  const auto circuit = ckt::make_circuit("stage2", "180nm");
   util::Rng rng(93);
   std::vector<std::vector<double>> cands;
   for (int i = 0; i < 3; ++i) cands.push_back(rng.uniform_vec(circuit->dim()));

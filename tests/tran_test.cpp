@@ -1,10 +1,10 @@
 // Transient engine: waveform evaluation, integrator golden accuracy against
 // closed-form RC / oscillator solutions, observed convergence orders (trap
 // ~2, backward Euler ~1), failure-reason plumbing (DcResult ->
-// NetlistCircuit), netlist .tran/.ic/measure integration, golden
-// equivalence of the shipped buffer_tran deck against the built-in
-// StepBuffer workload, and seeded transient-BO reproducibility across
-// KATO_THREADS settings (TranBo suite — labelled slow in CTest).
+// NetlistCircuit), netlist .tran/.ic/measure integration, and seeded
+// transient-BO reproducibility across KATO_THREADS settings on the "buffer"
+// kind (TranBo suite — labelled slow in CTest).  That kind's metrics are
+// pinned bit for bit in circuits_test (FrozenMetrics).
 
 #include <gtest/gtest.h>
 
@@ -22,15 +22,7 @@ namespace net = kato::net;
 namespace sim = kato::sim;
 namespace bo = kato::bo;
 
-#ifndef KATO_SOURCE_DIR
-#define KATO_SOURCE_DIR "."
-#endif
-
 namespace {
-
-std::string deck_path(const std::string& name) {
-  return std::string(KATO_SOURCE_DIR) + "/circuits/netlists/" + name;
-}
 
 ckt::NetlistCircuit load(const std::string& text,
                          const std::string& node = "180nm") {
@@ -565,67 +557,6 @@ TEST(NetlistTranDiag, UnknownTranOptionListsSupported) {
       ".spec objective V V = vdc(in)\n",
       4, "(supported: fixed, be)");
 }
-
-// ---------------------------------------------------------------------------
-// Golden equivalence with the built-in step-buffer workload.
-
-class TranGolden : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(TranGolden, SpaceAndSpecsMatchHardcoded) {
-  const auto hard = ckt::make_circuit("buffer", GetParam());
-  const auto soft =
-      ckt::make_circuit("netlist:" + deck_path("buffer_tran.cir"), GetParam());
-  const auto& hs = hard->space();
-  const auto& ss = soft->space();
-  ASSERT_EQ(hs.dim(), ss.dim());
-  for (std::size_t i = 0; i < hs.dim(); ++i) {
-    EXPECT_DOUBLE_EQ(hs.lo[i], ss.lo[i]) << "var " << i;
-    EXPECT_DOUBLE_EQ(hs.hi[i], ss.hi[i]) << "var " << i;
-    EXPECT_EQ(hs.log_scale[i], ss.log_scale[i]) << "var " << i;
-  }
-  ASSERT_EQ(hard->constraints().size(), soft->constraints().size());
-  for (std::size_t i = 0; i < hard->constraints().size(); ++i) {
-    EXPECT_DOUBLE_EQ(hard->constraints()[i].bound, soft->constraints()[i].bound);
-    EXPECT_EQ(hard->constraints()[i].is_lower_bound,
-              soft->constraints()[i].is_lower_bound);
-    EXPECT_EQ(hard->constraints()[i].name, soft->constraints()[i].name);
-    EXPECT_EQ(hard->constraints()[i].unit, soft->constraints()[i].unit);
-  }
-  EXPECT_EQ(hard->objective_name(), soft->objective_name());
-}
-
-TEST_P(TranGolden, MetricsMatchHardcodedOnSeededPoints) {
-  const auto hard = ckt::make_circuit("buffer", GetParam());
-  const auto soft =
-      ckt::make_circuit("netlist:" + deck_path("buffer_tran.cir"), GetParam());
-
-  // Expert design: identical coordinates and identical metrics.
-  ASSERT_EQ(hard->expert_design(), soft->expert_design());
-  const auto em_h = hard->evaluate(hard->expert_design());
-  const auto em_s = soft->evaluate(soft->expert_design());
-  ASSERT_TRUE(em_h && em_s);
-  ASSERT_TRUE(hard->feasible(*em_h));  // the expert rows must be feasible
-  for (std::size_t j = 0; j < em_h->size(); ++j)
-    EXPECT_NEAR((*em_h)[j], (*em_s)[j], 1e-9);
-
-  kato::util::Rng rng(GetParam() == std::string("180nm") ? 2024 : 4202);
-  int compared = 0;
-  for (int i = 0; i < 12; ++i) {
-    const auto x = rng.uniform_vec(hard->dim());
-    const auto a = hard->evaluate(x);
-    const auto b = soft->evaluate(x);
-    ASSERT_EQ(a.has_value(), b.has_value()) << "point " << i;
-    if (!a) continue;
-    ++compared;
-    ASSERT_EQ(a->size(), b->size());
-    for (std::size_t j = 0; j < a->size(); ++j)
-      EXPECT_NEAR((*a)[j], (*b)[j], 1e-9) << "point " << i << " metric " << j;
-  }
-  EXPECT_GE(compared, 8);
-}
-
-INSTANTIATE_TEST_SUITE_P(BothNodes, TranGolden,
-                         ::testing::Values("180nm", "40nm"));
 
 // ---------------------------------------------------------------------------
 // Seeded transient BO (slow label): bit-identical across reruns and thread
