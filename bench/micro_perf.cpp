@@ -483,31 +483,28 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Circuit evaluation.  dc_opamp2_eval runs the default (table) device
-  // path; the _analytic row re-runs it with KATO_DEVICE_TABLE=0 for the
-  // same-binary e2e A/B (the whole-candidate ratio is Amdahl-limited by the
-  // AC sweep and the LU solves — the device-kernel ratio itself is
-  // abl_mos_eval below).
+  // Circuit evaluation.  dc_opamp2_eval runs the opamp2 deck (the
+  // "opamp2" kind) on the default (table) device path; the _analytic row
+  // re-runs it on DeviceEval::analytic for the same-binary e2e A/B (the
+  // whole-candidate ratio is Amdahl-limited by elaboration, the AC sweep
+  // and the LU solves — the device-kernel ratio itself is abl_mos_eval
+  // below).
   double dc_opamp2_ms = 0.0;
   double dc_opamp2_analytic_ms = 0.0;
   {
-    auto circuit = ckt::make_circuit("opamp2", "180nm");
+    const auto circuit = ckt::NetlistCircuit::from_file(
+        std::string(KATO_SOURCE_DIR) + "/circuits/netlists/opamp2.cir",
+        ckt::pdk_180nm());
     const auto x = circuit->expert_design();
     dc_opamp2_ms = bench("dc_opamp2_eval", [&] {
       const auto m = circuit->evaluate(x);
       sink(m ? (*m)[0] : 0.0);
     });
-    const char* prev_table = std::getenv("KATO_DEVICE_TABLE");
-    const std::string saved_table = prev_table ? prev_table : "";
-    setenv("KATO_DEVICE_TABLE", "0", 1);
+    circuit->set_device_eval(sim::DeviceEval::analytic);
     dc_opamp2_analytic_ms = bench("dc_opamp2_eval_analytic", [&] {
       const auto m = circuit->evaluate(x);
       sink(m ? (*m)[0] : 0.0);
     });
-    if (prev_table)
-      setenv("KATO_DEVICE_TABLE", saved_table.c_str(), 1);
-    else
-      unsetenv("KATO_DEVICE_TABLE");
     auto bandgap = ckt::make_circuit("bandgap", "180nm");
     const auto xb = bandgap->expert_design();
     bench("bandgap_eval", [&] {
@@ -708,20 +705,15 @@ int main(int argc, char** argv) {
       const auto m = circuit.evaluate(x);
       sink(m ? (*m)[0] : 0.0);
     });
-    // e2e device-path A/B on the transient workload (KATO_DEVICE_TABLE,
-    // same binary) — Amdahl-limited by LU + timestep control, so this ratio
-    // is modest by design; the kernel ratio is device_table_speedup.
-    const char* prev_table = std::getenv("KATO_DEVICE_TABLE");
-    const std::string saved_table = prev_table ? prev_table : "";
-    setenv("KATO_DEVICE_TABLE", "0", 1);
+    // e2e device-path A/B on the transient workload (same binary) —
+    // Amdahl-limited by LU + timestep control, so this ratio is modest by
+    // design; the kernel ratio is device_table_speedup.
+    circuit.set_device_eval(sim::DeviceEval::analytic);
     tran_eval_analytic_ms = bench("abl_tran_eval_analytic", [&] {
       const auto m = circuit.evaluate(x);
       sink(m ? (*m)[0] : 0.0);
     });
-    if (prev_table)
-      setenv("KATO_DEVICE_TABLE", saved_table.c_str(), 1);
-    else
-      unsetenv("KATO_DEVICE_TABLE");
+    circuit.set_device_eval(sim::DeviceEval::automatic);
 
     // Tracing overhead (abl_tran_eval_traced): the identical evaluation
     // with an active KATO_TRACE session — spans plus the per-timestep

@@ -126,8 +126,8 @@ class NetlistCircuit final : public SizingCircuit {
 
   /// Device-model path for every DC/transient solve this circuit issues
   /// (table vs analytic MOSFET evaluation; sim::DeviceEval::automatic
-  /// resolves to the table path, KATO_DEVICE_TABLE overrides).  Lets tests
-  /// and benches A/B the two paths without touching the environment.
+  /// resolves to the table path).  Lets tests and benches A/B the two
+  /// paths.
   void set_device_eval(sim::DeviceEval eval) { device_eval_ = eval; }
   sim::DeviceEval device_eval() const { return device_eval_; }
 

@@ -33,11 +33,10 @@ struct DcOptions {
   /// switches on system size, KATO_SPARSE overrides for A/B runs.
   MnaSolver solver = MnaSolver::automatic;
   /// Device-model path for the Newton loop (precomputed-table vs analytic
-  /// MOSFET evaluation); `automatic` resolves to the table path,
-  /// KATO_DEVICE_TABLE overrides for A/B runs.  The reported
-  /// DcResult::mosfet_op is always the analytic reference model evaluated
-  /// once at the converged operating point (it feeds the AC linearization
-  /// and carries the exact saturation flag).
+  /// MOSFET evaluation); `automatic` resolves to the table path.  The
+  /// reported DcResult::mosfet_op is always the analytic reference model
+  /// evaluated once at the converged operating point (it feeds the AC
+  /// linearization and carries the exact saturation flag).
   DeviceEval device_eval = DeviceEval::automatic;
 };
 

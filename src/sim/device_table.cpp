@@ -1,8 +1,6 @@
 #include "sim/device_table.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -11,15 +9,7 @@
 namespace kato::sim {
 
 DeviceEval resolve_device_eval(DeviceEval requested) {
-  if (const char* env = std::getenv("KATO_DEVICE_TABLE")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "analytic") == 0)
-      return DeviceEval::analytic;
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "table") == 0)
-      return DeviceEval::table;
-    // Anything else ("", "auto") falls through to the request.
-  }
-  if (requested != DeviceEval::automatic) return requested;
-  return DeviceEval::table;
+  return requested == DeviceEval::automatic ? DeviceEval::table : requested;
 }
 
 namespace {

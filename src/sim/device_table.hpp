@@ -41,11 +41,10 @@
 // Outside the grid ([-4 V, +4 V] of overdrive) the exact analytic
 // expressions take over, so clamping never degrades robustness.
 //
-// Routing mirrors the KATO_SPARSE precedent: MnaOptions::device_eval
-// requests a path, the KATO_DEVICE_TABLE environment variable ("0" /
-// "analytic", "1" / "table") overrides it for A/B runs, and `automatic`
-// resolves to the table path.  KATO_DEVICE_TABLE=0 is bit-identical to the
-// historical analytic behavior (pinned by tests).
+// Routing: MnaOptions::device_eval (and NetlistCircuit::set_device_eval
+// above it) requests a path, and `automatic` resolves to the table path.
+// DeviceEval::analytic is bit-identical to the historical analytic behavior
+// (pinned by tests).
 
 #include <cstddef>
 #include <memory>
@@ -58,10 +57,9 @@ namespace kato::sim {
 /// Device-model evaluation path for the MNA assembler.
 enum class DeviceEval { automatic, analytic, table };
 
-/// Resolve `requested`: the KATO_DEVICE_TABLE environment variable
-/// ("0"/"analytic", "1"/"table") wins, then an explicit request, then
-/// `automatic` picks the table path (the analytic path stays available as
-/// the pinned reference).
+/// Resolve `requested`: an explicit request stands, and `automatic` picks
+/// the table path (the analytic path stays available as the pinned
+/// reference).
 DeviceEval resolve_device_eval(DeviceEval requested);
 
 /// Precomputed veff/dveff curve for one (subthreshold_n, temp) key.

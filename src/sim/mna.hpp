@@ -31,10 +31,10 @@
 // the KATO_SPARSE environment variable (0/dense, 1/sparse) overrides both
 // for A/B comparisons.
 //
-// Device evaluation routes the same way (MnaOptions::device_eval /
-// KATO_DEVICE_TABLE): the per-device temperature/geometry terms are hoisted
-// once into structure-of-arrays state at construction, and the per-Newton
-// MOSFET loop either runs the analytic model from that state
+// Device evaluation is requested per solve (MnaOptions::device_eval;
+// `automatic` is the table): the per-device temperature/geometry terms are
+// hoisted once into structure-of-arrays state at construction, and the
+// per-Newton MOSFET loop either runs the analytic model from that state
 // (bit-identical to the historical per-call eval_mosfet path) or the
 // precomputed-table model (sim/device_table.hpp), writing straight into
 // the resolved stamp slots either way.
@@ -92,8 +92,7 @@ struct MnaOptions {
   double gmin = 1e-12;
   double temp = 300.0;  ///< simulation temperature [K]
   MnaSolver solver = MnaSolver::automatic;
-  /// Device-model path; KATO_DEVICE_TABLE overrides (see
-  /// resolve_device_eval).
+  /// Device-model path (see resolve_device_eval).
   DeviceEval device_eval = DeviceEval::automatic;
 };
 

@@ -47,7 +47,7 @@ struct TranOptions {
   /// Device-model path for every timestep's Newton loop (and the internal
   /// t = 0 solve): precomputed-table vs analytic MOSFET evaluation, with
   /// the (subthreshold_n, temp)-keyed tables shared across all timesteps;
-  /// KATO_DEVICE_TABLE overrides for A/B runs.
+  /// `automatic` resolves to the table path.
   DeviceEval device_eval = DeviceEval::automatic;
   NewtonOptions newton{50, 1e-9, 0.5};  ///< per-timestep Newton knobs
   DcOptions dc;  ///< options for the internal t = 0 operating-point solve
