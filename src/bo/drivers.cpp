@@ -753,6 +753,10 @@ RunResult run_fom(const ckt::SizingCircuit& circuit,
                   const TransferSource* source) {
   if (method == FomMethod::tlmbo && source == nullptr)
     throw std::invalid_argument("run_fom: tlmbo requires a transfer source");
+  if (config.kato_variant != MaceVariant::modified)
+    throw std::invalid_argument(
+        "run_fom: kato_variant is constrained mode only (FOM mode proposes "
+        "from the modified 3-objective front)");
   Method m;
   m.name = to_string(method);
   switch (method) {

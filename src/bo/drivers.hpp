@@ -50,6 +50,8 @@ struct BoConfig {
   std::size_t iterations = 25;  ///< BO iterations (N_I)
   std::size_t n_init = 10;      ///< initial random simulations
   double ucb_beta = 2.0;
+  /// MACE form of constrained-mode KATO; constrained mode only (run_fom
+  /// proposes from the 3-objective front and rejects anything else).
   MaceVariant kato_variant = MaceVariant::modified;
   bool use_stl = true;          ///< Alg. 1 when a transfer source is present
   std::size_t max_gp_points = 320;  ///< surrogate training-set cap

@@ -281,12 +281,18 @@ TEST(Drivers, StlWeightsAreZeroWhenStlIsUnused) {
   EXPECT_GE(r.stl_w_self, 12.0);
 }
 
-TEST(Drivers, TlmboRequiresSource) {
+TEST(Drivers, FomModeRejectsUnsupportedRequests) {
   auto circuit = ckt::make_circuit("opamp2", "40nm");
   kato::util::Rng rng(5);
   const auto norm = ckt::calibrate_fom(*circuit, 120, rng);
   bo::BoConfig cfg;
   EXPECT_THROW(
       (void)bo::run_fom(*circuit, norm, bo::FomMethod::tlmbo, cfg, 1, nullptr),
+      std::invalid_argument);
+  // FOM mode always proposes from the modified 3-objective front, so a
+  // variant request there is refused before any simulation.
+  cfg.kato_variant = bo::MaceVariant::full;
+  EXPECT_THROW(
+      (void)bo::run_fom(*circuit, norm, bo::FomMethod::kato, cfg, 1, nullptr),
       std::invalid_argument);
 }
