@@ -10,8 +10,8 @@
 // deliberately a different dimensionality from the two-stage amp's eight so
 // the topology-transfer experiments exercise the KAT encoder across spaces.
 //
-// Metrics vector (both amps): [Itotal(uA), Gain(dB), PM(deg), GBW(MHz)],
-// objective = Itotal.
+// Metrics vector (three-stage amp, as for the opamp2 deck): [Itotal(uA),
+// Gain(dB), PM(deg), GBW(MHz)], objective = Itotal.
 
 #include <memory>
 
