@@ -129,6 +129,69 @@ std::pair<double, double> bench_ab(const std::string& name_a, FnA&& fn_a,
   return {best_a, best_b};
 }
 
+/// Paired A/B arms for effects smaller than the frequency drift between two
+/// bench_ab windows: the arms alternate every single iteration, so drift is
+/// common-mode, in `n_blocks` blocks of `block_pairs` pairs.  Each arm's row
+/// is its best block mean; `ratio` (b over a) is the median of the per-block
+/// ratios, which rejects the occasional scheduler preemption that lands
+/// inside one block.
+struct PairedAb {
+  double a_ms = 0.0;
+  double b_ms = 0.0;
+  double ratio = 0.0;
+  std::size_t blocks = 0;  ///< blocks that contributed a ratio
+};
+
+template <typename FnA, typename FnB>
+PairedAb bench_paired(const std::string& name_a, FnA&& fn_a,
+                      const std::string& name_b, FnB&& fn_b,
+                      int n_blocks = 12, int block_pairs = 48,
+                      const char* unit = "iter") {
+  using clock = std::chrono::steady_clock;
+  fn_a();
+  fn_b();  // warm-up (excluded)
+  PairedAb r;
+  std::vector<double> block_ratios;
+  for (int blk = 0; blk < n_blocks; ++blk) {
+    double ms_a = 0.0;
+    double ms_b = 0.0;
+    for (int i = 0; i < block_pairs; ++i) {
+      const auto t0 = clock::now();
+      fn_a();
+      const auto t1 = clock::now();
+      fn_b();
+      const auto t2 = clock::now();
+      ms_a += std::chrono::duration<double, std::milli>(t1 - t0).count();
+      ms_b += std::chrono::duration<double, std::milli>(t2 - t1).count();
+    }
+    const double per_a = ms_a / block_pairs;
+    const double per_b = ms_b / block_pairs;
+    if (r.a_ms == 0.0 || per_a < r.a_ms) r.a_ms = per_a;
+    if (r.b_ms == 0.0 || per_b < r.b_ms) r.b_ms = per_b;
+    if (ms_a > 0.0) block_ratios.push_back(ms_b / ms_a);
+  }
+  std::sort(block_ratios.begin(), block_ratios.end());
+  r.blocks = block_ratios.size();
+  if (!block_ratios.empty()) {
+    const std::size_t m = block_ratios.size() / 2;
+    r.ratio = block_ratios.size() % 2 != 0
+                  ? block_ratios[m]
+                  : 0.5 * (block_ratios[m - 1] + block_ratios[m]);
+  }
+  const std::size_t iters = static_cast<std::size_t>(n_blocks) *
+                            static_cast<std::size_t>(block_pairs);
+  g_results.push_back({name_a, r.a_ms, iters});
+  g_results.push_back({name_b, r.b_ms, iters});
+  const auto print = [&](const std::string& name, double ms) {
+    std::cout << "  " << name << ": " << ms << " ms/" << unit << " (" << iters
+              << " " << unit << "s, min of " << n_blocks
+              << " paired blocks)\n";
+  };
+  print(name_a, r.a_ms);
+  print(name_b, r.b_ms);
+  return r;
+}
+
 la::Matrix random_points(std::size_t n, std::size_t d, std::uint64_t seed) {
   util::Rng rng(seed);
   la::Matrix x(n, d);
@@ -325,9 +388,8 @@ int main(int argc, char** argv) {
     ref.use_workspace = false;
     gp::GpFitOptions fused = ref;
     fused.use_workspace = true;
-    const char* prev_threads = std::getenv("KATO_THREADS");
-    const std::string saved = prev_threads ? prev_threads : "";
-    setenv("KATO_THREADS", "1", 1);
+    const std::size_t saved_threads = util::thread_count();
+    util::set_thread_count(1);
     fit_ref_ms = bench(
         "gp_fit_ref_n192x12",
         [&] {
@@ -346,10 +408,7 @@ int main(int argc, char** argv) {
           sink(m.noise_var());
         },
         800.0);
-    if (prev_threads)
-      setenv("KATO_THREADS", saved.c_str(), 1);
-    else
-      unsetenv("KATO_THREADS");
+    util::set_thread_count(saved_threads);
     std::cout << "  -> fused fit speedup: " << fit_ref_ms / fit_ws_ms << "x\n";
   }
 
@@ -374,26 +433,22 @@ int main(int argc, char** argv) {
     multi.set_data(x, y);
     gp::GpFitOptions opts;
     opts.iterations = 6;
-    const char* prev_threads = std::getenv("KATO_THREADS");
-    const std::string saved = prev_threads ? prev_threads : "";
-    setenv("KATO_THREADS", "1", 1);
+    const std::size_t saved_threads = util::thread_count();
+    util::set_thread_count(1);
     multi_serial_ms = bench("multigp_fit_m4_threads1", [&] {
       auto m = multi;
       util::Rng fit_rng(25);
       m.fit(opts, fit_rng);
       sink(m.metric(0).noise_var());
     });
-    setenv("KATO_THREADS", "4", 1);
+    util::set_thread_count(4);
     multi_par_ms = bench("multigp_fit_m4_threads4", [&] {
       auto m = multi;
       util::Rng fit_rng(25);
       m.fit(opts, fit_rng);
       sink(m.metric(0).noise_var());
     });
-    if (prev_threads)
-      setenv("KATO_THREADS", saved.c_str(), 1);
-    else
-      unsetenv("KATO_THREADS");
+    util::set_thread_count(saved_threads);
     std::cout << "  -> multigp pool speedup: " << multi_serial_ms / multi_par_ms
               << "x\n";
   }
@@ -439,23 +494,19 @@ int main(int argc, char** argv) {
         y(i, m) = std::sin(3.0 * x(i, 0) + static_cast<double>(m)) + x(i, 1);
     multi.set_data(x, y);
     const auto q = random_points(24, d, 28);
-    const char* prev_threads = std::getenv("KATO_THREADS");
-    const std::string saved = prev_threads ? prev_threads : "";
+    const std::size_t saved_threads = util::thread_count();
     std::tie(multi_predict_serial_ms, multi_predict_par_ms) = bench_ab(
         "multigp_predict_batch_m4_threads1",
         [&] {
-          setenv("KATO_THREADS", "1", 1);
+          util::set_thread_count(1);
           sink(multi.predict_batch(q)[0][0].mean);
         },
         "multigp_predict_batch_m4_threads4",
         [&] {
-          setenv("KATO_THREADS", "4", 1);
+          util::set_thread_count(4);
           sink(multi.predict_batch(q)[0][0].mean);
         });
-    if (prev_threads)
-      setenv("KATO_THREADS", saved.c_str(), 1);
-    else
-      unsetenv("KATO_THREADS");
+    util::set_thread_count(saved_threads);
     std::cout << "  -> multigp predict pool speedup: "
               << multi_predict_serial_ms / multi_predict_par_ms << "x\n";
   }
@@ -485,10 +536,10 @@ int main(int argc, char** argv) {
 
   // Circuit evaluation.  dc_opamp2_eval runs the opamp2 deck (the
   // "opamp2" kind) on the default (table) device path; the _analytic row
-  // re-runs it on DeviceEval::analytic for the same-binary e2e A/B (the
-  // whole-candidate ratio is Amdahl-limited by elaboration, the AC sweep
-  // and the LU solves — the device-kernel ratio itself is abl_mos_eval
-  // below).
+  // runs it on DeviceEval::analytic for the same-binary e2e A/B, paired per
+  // iteration so drift cannot favour one path (the whole-candidate ratio is
+  // Amdahl-limited by elaboration, the AC sweep and the LU solves — the
+  // device-kernel ratio itself is abl_mos_eval below).
   double dc_opamp2_ms = 0.0;
   double dc_opamp2_analytic_ms = 0.0;
   {
@@ -496,15 +547,18 @@ int main(int argc, char** argv) {
         std::string(KATO_SOURCE_DIR) + "/circuits/netlists/opamp2.cir",
         ckt::pdk_180nm());
     const auto x = circuit->expert_design();
-    dc_opamp2_ms = bench("dc_opamp2_eval", [&] {
+    const auto eval_on = [&](sim::DeviceEval path) {
+      circuit->set_device_eval(path);
       const auto m = circuit->evaluate(x);
       sink(m ? (*m)[0] : 0.0);
-    });
-    circuit->set_device_eval(sim::DeviceEval::analytic);
-    dc_opamp2_analytic_ms = bench("dc_opamp2_eval_analytic", [&] {
-      const auto m = circuit->evaluate(x);
-      sink(m ? (*m)[0] : 0.0);
-    });
+    };
+    const auto device_ab = bench_paired(
+        "dc_opamp2_eval", [&] { eval_on(sim::DeviceEval::automatic); },
+        "dc_opamp2_eval_analytic", [&] { eval_on(sim::DeviceEval::analytic); });
+    dc_opamp2_ms = device_ab.a_ms;
+    dc_opamp2_analytic_ms = device_ab.b_ms;
+    std::cout << "  -> analytic / table eval ratio: " << device_ab.ratio
+              << " (median of " << device_ab.blocks << " paired blocks)\n";
     auto bandgap = ckt::make_circuit("bandgap", "180nm");
     const auto xb = bandgap->expert_design();
     bench("bandgap_eval", [&] {
@@ -721,76 +775,30 @@ int main(int argc, char** argv) {
     // both arms, paused for the untraced one, so both share buffers and the
     // ratio isolates the capture cost.
     //
-    // The arms alternate every single iteration (not in 40 ms bench_ab
-    // windows): the effect being gated is a few percent, smaller than the
-    // frequency drift between two windows, so only pairing at iteration
-    // granularity makes the noise common-mode.  The gated ratio is the
-    // median of per-block paired ratios — the median rejects the occasional
-    // scheduler preemption that lands inside one block.  compare_baseline.py
-    // gates the ratio at <= 1.05.
+    // The arms alternate every single iteration (bench_paired, not
+    // bench_ab's 40 ms windows): the effect being gated is a few percent,
+    // smaller than the frequency drift between two windows.
+    // compare_baseline.py gates the ratio at <= 1.05.
     obs::trace_begin("BENCH_trace_tran.json");
     obs::trace_pause();
-    const auto run_untraced = [&] {
-      const auto m = circuit.evaluate(x);
-      sink(m ? (*m)[0] : 0.0);
-    };
-    const auto run_traced = [&] {
-      obs::trace_resume();
-      const auto m = circuit.evaluate(x);
-      obs::trace_pause();
-      sink(m ? (*m)[0] : 0.0);
-    };
-    run_untraced();
-    run_traced();  // warm-up (excluded)
-    using clock = std::chrono::steady_clock;
-    constexpr int n_blocks = 12;
-    constexpr int block_pairs = 48;
-    std::vector<double> block_ratios;
-    double best_untraced = 0.0;
-    double best_traced = 0.0;
-    for (int blk = 0; blk < n_blocks; ++blk) {
-      double ms_untraced = 0.0;
-      double ms_traced = 0.0;
-      for (int i = 0; i < block_pairs; ++i) {
-        const auto t0 = clock::now();
-        run_untraced();
-        const auto t1 = clock::now();
-        run_traced();
-        const auto t2 = clock::now();
-        ms_untraced +=
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        ms_traced +=
-            std::chrono::duration<double, std::milli>(t2 - t1).count();
-      }
-      const double per_untraced = ms_untraced / block_pairs;
-      const double per_traced = ms_traced / block_pairs;
-      if (best_untraced == 0.0 || per_untraced < best_untraced)
-        best_untraced = per_untraced;
-      if (best_traced == 0.0 || per_traced < best_traced)
-        best_traced = per_traced;
-      if (ms_untraced > 0.0) block_ratios.push_back(ms_traced / ms_untraced);
-    }
+    const auto traced = bench_paired(
+        "abl_tran_eval_untraced",
+        [&] {
+          const auto m = circuit.evaluate(x);
+          sink(m ? (*m)[0] : 0.0);
+        },
+        "abl_tran_eval_traced",
+        [&] {
+          obs::trace_resume();
+          const auto m = circuit.evaluate(x);
+          obs::trace_pause();
+          sink(m ? (*m)[0] : 0.0);
+        });
     const std::size_t trace_events = obs::trace_end();
-    tran_eval_traced_ms = best_traced;
-    constexpr std::size_t ab_iters = n_blocks * block_pairs;
-    g_results.push_back({"abl_tran_eval_untraced", best_untraced, ab_iters});
-    g_results.push_back({"abl_tran_eval_traced", best_traced, ab_iters});
-    std::sort(block_ratios.begin(), block_ratios.end());
-    if (!block_ratios.empty()) {
-      const std::size_t m = block_ratios.size() / 2;
-      trace_overhead_ratio =
-          block_ratios.size() % 2 != 0
-              ? block_ratios[m]
-              : 0.5 * (block_ratios[m - 1] + block_ratios[m]);
-    }
-    std::cout << "  " << "abl_tran_eval_untraced: " << best_untraced
-              << " ms/iter (" << ab_iters << " iters, min of " << n_blocks
-              << " paired blocks)\n";
-    std::cout << "  " << "abl_tran_eval_traced: " << best_traced
-              << " ms/iter (" << ab_iters << " iters, min of " << n_blocks
-              << " paired blocks)\n";
+    tran_eval_traced_ms = traced.b_ms;
+    trace_overhead_ratio = traced.ratio;
     std::cout << "  -> trace overhead ratio: " << trace_overhead_ratio
-              << " (median of " << block_ratios.size() << " paired blocks, "
+              << " (median of " << traced.blocks << " paired blocks, "
               << trace_events << " events captured)\n";
   }
 
@@ -823,66 +831,29 @@ int main(int argc, char** argv) {
     cfg.hyper_every = 2;
     cfg.gp_initial.iterations = 8;
     cfg.gp_refit.iterations = 4;
-    const auto run_off = [&] {
-      const auto r =
-          bo::run_constrained(circuit, bo::ConstrainedMethod::kato, cfg, 7);
-      sink(r.trace.back());
-    };
-    const auto run_on = [&] {
-      // Session open/truncate and close are charged to the journaled arm:
-      // a real KATO_RUN_LOG run pays them too.
-      obs::journal_begin("BENCH_journal.jsonl");
-      const auto r =
-          bo::run_constrained(circuit, bo::ConstrainedMethod::kato, cfg, 7);
-      obs::journal_end();
-      sink(r.trace.back());
-    };
-    run_off();
-    run_on();  // warm-up (excluded)
-    using clock = std::chrono::steady_clock;
-    constexpr int n_blocks = 8;
-    constexpr int block_pairs = 4;
-    std::vector<double> block_ratios;
-    for (int blk = 0; blk < n_blocks; ++blk) {
-      double ms_off = 0.0;
-      double ms_on = 0.0;
-      for (int i = 0; i < block_pairs; ++i) {
-        const auto t0 = clock::now();
-        run_off();
-        const auto t1 = clock::now();
-        run_on();
-        const auto t2 = clock::now();
-        ms_off += std::chrono::duration<double, std::milli>(t1 - t0).count();
-        ms_on += std::chrono::duration<double, std::milli>(t2 - t1).count();
-      }
-      const double per_off = ms_off / block_pairs;
-      const double per_on = ms_on / block_pairs;
-      if (bo_journal_off_ms == 0.0 || per_off < bo_journal_off_ms)
-        bo_journal_off_ms = per_off;
-      if (bo_journal_on_ms == 0.0 || per_on < bo_journal_on_ms)
-        bo_journal_on_ms = per_on;
-      if (ms_off > 0.0) block_ratios.push_back(ms_on / ms_off);
-    }
-    constexpr std::size_t ab_iters = n_blocks * block_pairs;
-    g_results.push_back({"abl_bo_journal_off", bo_journal_off_ms, ab_iters});
-    g_results.push_back({"abl_bo_journal_on", bo_journal_on_ms, ab_iters});
-    std::sort(block_ratios.begin(), block_ratios.end());
-    if (!block_ratios.empty()) {
-      const std::size_t m = block_ratios.size() / 2;
-      journal_overhead_ratio =
-          block_ratios.size() % 2 != 0
-              ? block_ratios[m]
-              : 0.5 * (block_ratios[m - 1] + block_ratios[m]);
-    }
-    std::cout << "  " << "abl_bo_journal_off: " << bo_journal_off_ms
-              << " ms/run (" << ab_iters << " runs, min of " << n_blocks
-              << " paired blocks)\n";
-    std::cout << "  " << "abl_bo_journal_on: " << bo_journal_on_ms
-              << " ms/run (" << ab_iters << " runs, min of " << n_blocks
-              << " paired blocks)\n";
+    const auto journal = bench_paired(
+        "abl_bo_journal_off",
+        [&] {
+          const auto r =
+              bo::run_constrained(circuit, bo::ConstrainedMethod::kato, cfg, 7);
+          sink(r.trace.back());
+        },
+        "abl_bo_journal_on",
+        [&] {
+          // Session open/truncate and close are charged to the journaled
+          // arm: a real KATO_RUN_LOG run pays them too.
+          obs::journal_begin("BENCH_journal.jsonl");
+          const auto r =
+              bo::run_constrained(circuit, bo::ConstrainedMethod::kato, cfg, 7);
+          obs::journal_end();
+          sink(r.trace.back());
+        },
+        8, 4, "run");
+    bo_journal_off_ms = journal.a_ms;
+    bo_journal_on_ms = journal.b_ms;
+    journal_overhead_ratio = journal.ratio;
     std::cout << "  -> journal overhead ratio: " << journal_overhead_ratio
-              << " (median of " << block_ratios.size()
-              << " paired blocks)\n";
+              << " (median of " << journal.blocks << " paired blocks)\n";
   }
 
   // Robustness-hook overhead (abl_eval_recovery): the fault-injection and
@@ -907,72 +878,33 @@ int main(int argc, char** argv) {
     idle_fault.site = util::FaultSite::tran_nan_device;
     idle_fault.rate = 1e-15;  // draws are paid, the fault never fires
     idle_fault.seed = 1;
-    const auto run_off = [&] {
-      const auto m = circuit.evaluate(x);
-      sink(m ? (*m)[0] : 0.0);
-    };
-    const auto run_armed = [&] {
-      util::set_fault(idle_fault);
-      util::set_eval_deadline_ms(600000);
-      const auto m = circuit.evaluate(x);
-      util::set_eval_deadline_ms(0);
-      util::set_fault(std::nullopt);
-      sink(m ? (*m)[0] : 0.0);
-    };
-    run_off();
-    run_armed();  // warm-up (excluded)
-    using clock = std::chrono::steady_clock;
-    constexpr int n_blocks = 12;
-    constexpr int block_pairs = 48;
-    std::vector<double> block_ratios;
-    for (int blk = 0; blk < n_blocks; ++blk) {
-      double ms_off = 0.0;
-      double ms_armed = 0.0;
-      for (int i = 0; i < block_pairs; ++i) {
-        const auto t0 = clock::now();
-        run_off();
-        const auto t1 = clock::now();
-        run_armed();
-        const auto t2 = clock::now();
-        ms_off += std::chrono::duration<double, std::milli>(t1 - t0).count();
-        ms_armed += std::chrono::duration<double, std::milli>(t2 - t1).count();
-      }
-      const double per_off = ms_off / block_pairs;
-      const double per_armed = ms_armed / block_pairs;
-      if (eval_recovery_off_ms == 0.0 || per_off < eval_recovery_off_ms)
-        eval_recovery_off_ms = per_off;
-      if (eval_recovery_armed_ms == 0.0 || per_armed < eval_recovery_armed_ms)
-        eval_recovery_armed_ms = per_armed;
-      if (ms_off > 0.0) block_ratios.push_back(ms_armed / ms_off);
-    }
-    constexpr std::size_t ab_iters = n_blocks * block_pairs;
-    g_results.push_back(
-        {"abl_eval_recovery_off", eval_recovery_off_ms, ab_iters});
-    g_results.push_back(
-        {"abl_eval_recovery_armed", eval_recovery_armed_ms, ab_iters});
-    std::sort(block_ratios.begin(), block_ratios.end());
-    if (!block_ratios.empty()) {
-      const std::size_t m = block_ratios.size() / 2;
-      recovery_off_overhead_ratio =
-          block_ratios.size() % 2 != 0
-              ? block_ratios[m]
-              : 0.5 * (block_ratios[m - 1] + block_ratios[m]);
-    }
-    std::cout << "  " << "abl_eval_recovery_off: " << eval_recovery_off_ms
-              << " ms/iter (" << ab_iters << " iters, min of " << n_blocks
-              << " paired blocks)\n";
-    std::cout << "  " << "abl_eval_recovery_armed: " << eval_recovery_armed_ms
-              << " ms/iter (" << ab_iters << " iters, min of " << n_blocks
-              << " paired blocks)\n";
+    const auto recovery = bench_paired(
+        "abl_eval_recovery_off",
+        [&] {
+          const auto m = circuit.evaluate(x);
+          sink(m ? (*m)[0] : 0.0);
+        },
+        "abl_eval_recovery_armed",
+        [&] {
+          util::set_fault(idle_fault);
+          util::set_eval_deadline_ms(600000);
+          const auto m = circuit.evaluate(x);
+          util::set_eval_deadline_ms(0);
+          util::set_fault(std::nullopt);
+          sink(m ? (*m)[0] : 0.0);
+        });
+    eval_recovery_off_ms = recovery.a_ms;
+    eval_recovery_armed_ms = recovery.b_ms;
+    recovery_off_overhead_ratio = recovery.ratio;
     std::cout << "  -> recovery-hook idle overhead ratio: "
               << recovery_off_overhead_ratio << " (median of "
-              << block_ratios.size() << " paired blocks)\n";
+              << recovery.blocks << " paired blocks)\n";
   }
 
   // Sparse MNA solver (abl_sparse): on the ~150-node ladder deck, compare
   // (a) the raw linear-solve kernel — dense in-place LU vs sparse numeric
   // refactorization with the recorded pivot sequence — and (b) the full
-  // transient candidate evaluation on both solve paths (KATO_SPARSE A/B).
+  // transient candidate evaluation on both solve paths (set_solver A/B).
   double sparse_lu_ms = 0.0;
   double sparse_lu_dense_ms = 0.0;
   double sparse_tran_ms = 0.0;
@@ -1029,14 +961,12 @@ int main(int argc, char** argv) {
               << ", n " << size << ")\n";
 
     // (b) Whole-candidate transient evaluation, sparse vs dense path.
-    const char* prev_sparse = std::getenv("KATO_SPARSE");
-    const std::string saved_sparse = prev_sparse ? prev_sparse : "";
-    setenv("KATO_SPARSE", "1", 1);
+    circuit.set_solver(sim::MnaSolver::sparse);
     sparse_tran_ms = bench("abl_sparse_tran_eval", [&] {
       const auto m = circuit.evaluate(x);
       sink(m ? (*m)[0] : 0.0);
     });
-    setenv("KATO_SPARSE", "0", 1);
+    circuit.set_solver(sim::MnaSolver::dense);
     sparse_tran_dense_ms = bench(
         "abl_sparse_tran_eval_dense",
         [&] {
@@ -1044,10 +974,7 @@ int main(int argc, char** argv) {
           sink(m ? (*m)[0] : 0.0);
         },
         600.0);
-    if (prev_sparse)
-      setenv("KATO_SPARSE", saved_sparse.c_str(), 1);
-    else
-      unsetenv("KATO_SPARSE");
+    circuit.set_solver(sim::MnaSolver::automatic);
     std::cout << "  -> sparse tran eval speedup: "
               << sparse_tran_dense_ms / sparse_tran_ms << "x\n";
 
@@ -1061,9 +988,8 @@ int main(int argc, char** argv) {
         v = std::clamp(v + 0.1 * (cand_rng.uniform() - 0.5), 0.0, 1.0);
       cands.push_back(std::move(cx));
     }
-    const char* prev_threads = std::getenv("KATO_THREADS");
-    const std::string saved_threads = prev_threads ? prev_threads : "";
-    setenv("KATO_THREADS", "1", 1);
+    const std::size_t saved_threads = util::thread_count();
+    util::set_thread_count(1);
     const double batch_serial_ms = bench(
         "eval_batch_serial_q8",
         [&] {
@@ -1075,7 +1001,7 @@ int main(int argc, char** argv) {
           sink(acc);
         },
         600.0);
-    setenv("KATO_THREADS", "4", 1);
+    util::set_thread_count(4);
     const double batch_par_ms = bench(
         "eval_batch_threads4_q8",
         [&] {
@@ -1083,10 +1009,7 @@ int main(int argc, char** argv) {
           sink(ms[0] ? (*ms[0])[0] : 0.0);
         },
         600.0);
-    if (prev_threads)
-      setenv("KATO_THREADS", saved_threads.c_str(), 1);
-    else
-      unsetenv("KATO_THREADS");
+    util::set_thread_count(saved_threads);
     eval_batch_speedup = batch_serial_ms / batch_par_ms;
     std::cout << "  -> eval batch speedup (4 threads): " << eval_batch_speedup
               << "x\n";

@@ -1,11 +1,11 @@
 #include "circuits/factory.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string_view>
 
 #include "netlist/netlist_circuit.hpp"
+#include "util/env.hpp"
 
 namespace kato::ckt {
 
@@ -28,8 +28,8 @@ std::string shipped_deck(std::string_view name) {
 /// Resolve a "netlist:" deck path: as given, then under KATO_NETLIST_DIR.
 std::string resolve_deck_path(const std::string& path) {
   if (std::ifstream(path).good()) return path;
-  if (const char* dir = std::getenv("KATO_NETLIST_DIR")) {
-    const std::string joined = std::string(dir) + "/" + path;
+  if (const auto dir = util::env_path("KATO_NETLIST_DIR")) {
+    const std::string joined = *dir + "/" + path;
     if (std::ifstream(joined).good()) return joined;
     throw std::invalid_argument("make_circuit: netlist deck '" + path +
                                 "' not found (also tried '" + joined + "')");

@@ -579,6 +579,7 @@ NetlistCircuit::EvalOutcome NetlistCircuit::evaluate_single(
     sim::DcOptions dc_opts;
     dc_opts.temp = temperature;
     dc_opts.device_eval = device_eval_;
+    dc_opts.solver = solver_;
     const auto op = sim::solve_dc(elab.circuit, dc_opts);
     out.stats.merge(op.stats);
     if (!op.converged) {
@@ -590,7 +591,7 @@ NetlistCircuit::EvalOutcome NetlistCircuit::evaluate_single(
 
     sim::AcSweep sweep;
     if (needs_ac_) {
-      sweep = sim::solve_ac(elab.circuit, op, elab.freqs);
+      sweep = sim::solve_ac(elab.circuit, op, elab.freqs, solver_);
       out.stats.merge(sweep.stats);
       if (!sweep.ok) {
         obs::bo_count(obs::BoCounter::fail_ac);
@@ -610,6 +611,7 @@ NetlistCircuit::EvalOutcome NetlistCircuit::evaluate_single(
       topts.backward_euler = elab.tran.backward_euler;
       topts.temp = temperature;
       topts.device_eval = device_eval_;
+      topts.solver = solver_;
       topts.initial_conditions = elab.tran.ics;
       tran = sim::solve_tran(elab.circuit, topts, &op);
       out.stats.merge(tran.stats);

@@ -59,6 +59,7 @@
 #include "netlist/elaborate.hpp"
 #include "obs/obs.hpp"
 #include "sim/device_table.hpp"
+#include "sim/mna.hpp"
 
 namespace kato::ckt {
 
@@ -131,6 +132,11 @@ class NetlistCircuit final : public SizingCircuit {
   void set_device_eval(sim::DeviceEval eval) { device_eval_ = eval; }
   sim::DeviceEval device_eval() const { return device_eval_; }
 
+  /// Linear-solve path for every DC/AC/transient solve this circuit issues
+  /// (sim::MnaSolver::automatic takes the size crossover).  Lets tests and
+  /// benches A/B the dense and sparse paths.
+  void set_solver(sim::MnaSolver solver) { solver_ = solver; }
+
   /// Elaborate at a unit-box point without simulating (benchmarks, tests).
   net::Elaboration elaborate(const std::vector<double>& unit_x) const;
 
@@ -168,6 +174,7 @@ class NetlistCircuit final : public SizingCircuit {
   bool needs_tran_ = false;
 
   sim::DeviceEval device_eval_ = sim::DeviceEval::automatic;
+  sim::MnaSolver solver_ = sim::MnaSolver::automatic;
   std::vector<CornerSetup> corners_;  ///< always >= 1 (nominal fallback)
   bool has_corner_cards_ = false;
   std::size_t mc_samples_ = 1;

@@ -16,9 +16,9 @@
 //
 // Like the counters and histograms, journaling is value-free: emitters only
 // read optimizer state, so a seeded run is bit-identical with KATO_RUN_LOG
-// on vs. off (pinned by obs_test).  KATO_RUN_LOG follows the KATO_SEEDS
-// full-string discipline via sink_from_env: unset disables silently, a
-// set-but-unusable value disables with a one-line stderr warning.
+// on vs. off (pinned by obs_test).  KATO_RUN_LOG is read by util::env_path
+// like every sink: unset disables silently, a set-but-unusable value
+// disables with the one-line stderr warning.
 
 #include <atomic>
 #include <cstdint>

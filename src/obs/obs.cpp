@@ -2,16 +2,17 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "obs/journal.hpp"
+#include "util/env.hpp"
 
 namespace kato::obs {
 
@@ -316,12 +317,12 @@ void write_trace_json_locked(TraceState& s, std::size_t n_events) {
 /// worker buffers are flushed by the time the final trace is written.
 struct ObsBoot {
   ObsBoot() {
-    registry()->sink = sink_from_env("KATO_STATS");
-    if (auto path = sink_from_env("KATO_TRACE")) {
+    registry()->sink = util::env_path("KATO_STATS");
+    if (auto path = util::env_path("KATO_TRACE")) {
       trace_begin(*path);
       trace_state()->dump_at_exit = true;
     }
-    if (auto path = sink_from_env("KATO_RUN_LOG")) journal_begin(*path);
+    if (auto path = util::env_path("KATO_RUN_LOG")) journal_begin(*path);
   }
   ~ObsBoot() {
     journal_end();  // no-op unless a session is open
@@ -360,8 +361,6 @@ void record_sim(const SimStats& s) {
     if (v != 0) r->sim[i].fetch_add(v, std::memory_order_relaxed);
   }
 }
-
-bool stats_enabled() { return registry()->sink.has_value(); }
 
 void stats_write_json(std::ostream& os) {
   Registry* r = registry();
@@ -529,31 +528,6 @@ void expose_metrics(std::ostream& os) {
        << "kato_stage_latency_seconds_count{stage=\"" << name << "\"} "
        << h.count << "\n";
   }
-}
-
-std::optional<std::string> parse_sink_path(const char* value) {
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  const std::string s(value);
-  // Full-string discipline (KATO_SEEDS precedent): a path with leading or
-  // trailing whitespace is a shell-quoting accident, not a request — reject
-  // the whole value instead of trimming a guess out of it.
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-  };
-  if (is_space(s.front()) || is_space(s.back())) return std::nullopt;
-  return s;
-}
-
-std::optional<std::string> sink_from_env(const char* var) {
-  const char* value = std::getenv(var);
-  if (value == nullptr) return std::nullopt;
-  auto parsed = parse_sink_path(value);
-  if (!parsed)
-    std::fprintf(stderr,
-                 "%s: ignoring unusable path '%s' (empty or surrounded by "
-                 "whitespace); feature disabled\n",
-                 var, value);
-  return parsed;
 }
 
 // --- Tracer ----------------------------------------------------------------

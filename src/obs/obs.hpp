@@ -35,10 +35,10 @@
 //   The run journal (KATO_RUN_LOG, per-BO-iteration JSONL) lives in the
 //   sibling header obs/journal.hpp.
 //
-// Both environment variables follow the KATO_SEEDS full-string discipline:
-// an unset variable disables the feature silently, a set-but-unusable value
-// (empty, or with leading/trailing whitespace) disables it with a one-line
-// stderr warning instead of guessing at a path.
+// Both environment variables are read through util::env_path: an unset
+// variable disables the feature silently, a set-but-unusable value (empty,
+// or with leading/trailing whitespace) disables it with a one-line stderr
+// warning instead of guessing at a path.
 //
 // Threading: per-thread trace buffers are appended without locks by their
 // owning thread and spliced into the shared store under a mutex when full,
@@ -52,7 +52,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 namespace kato::obs {
@@ -129,10 +128,6 @@ void bo_count(BoCounter c, std::uint64_t n = 1);
 /// Fold one evaluation's SimStats into the process registry (relaxed).
 void record_sim(const SimStats& s);
 
-/// True when KATO_STATS parsed to a usable sink (the registry always
-/// accumulates; this only says whether it will be dumped at exit).
-bool stats_enabled();
-
 /// Write the registry snapshot as one flat JSON object.
 void stats_write_json(std::ostream& os);
 
@@ -142,20 +137,6 @@ std::uint64_t stats_value(const char* name);
 
 /// Zero every registry counter (tests).
 void stats_reset();
-
-// --- Environment parsing ---------------------------------------------------
-
-/// Strict sink-path validation: nullptr (unset), empty, or any value with
-/// leading/trailing whitespace yields nullopt; everything else — including
-/// "-" for stdout — is returned verbatim.  Pure (no warning, no getenv);
-/// the env readers below layer the one-line stderr warning on top.
-std::optional<std::string> parse_sink_path(const char* value);
-
-/// Read environment variable `var` through parse_sink_path, warning once on
-/// stderr (and returning nullopt) when it is set but unusable.  Used for
-/// KATO_STATS/KATO_TRACE at startup; exposed so tests can pin the
-/// discipline with setenv/unsetenv like core_test pins KATO_SEEDS.
-std::optional<std::string> sink_from_env(const char* var);
 
 // --- Tracer ----------------------------------------------------------------
 

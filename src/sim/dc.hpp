@@ -30,7 +30,7 @@ struct DcOptions {
   /// this to bias the circuit at the waveform's t = 0 values.
   std::vector<double> vsource_override;
   /// Linear-solve path (dense vs sparse with symbolic reuse); `automatic`
-  /// switches on system size, KATO_SPARSE overrides for A/B runs.
+  /// switches on system size; dense/sparse force a path for A/B runs.
   MnaSolver solver = MnaSolver::automatic;
   /// Device-model path for the Newton loop (precomputed-table vs analytic
   /// MOSFET evaluation); `automatic` resolves to the table path.  The

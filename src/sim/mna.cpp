@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "linalg/lu.hpp"
@@ -21,13 +19,6 @@ std::string fmt_double(double v) {
 }
 
 MnaSolver resolve_mna_solver(MnaSolver requested, std::size_t size) {
-  if (const char* env = std::getenv("KATO_SPARSE")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "dense") == 0)
-      return MnaSolver::dense;
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "sparse") == 0)
-      return MnaSolver::sparse;
-    // Anything else ("", "auto") falls through to the request.
-  }
   if (requested != MnaSolver::automatic) return requested;
   return size >= k_mna_sparse_crossover ? MnaSolver::sparse : MnaSolver::dense;
 }

@@ -28,8 +28,9 @@
 //            transient timesteps an assembler lives through.
 //
 // MnaSolver::automatic switches on system size (k_mna_sparse_crossover);
-// the KATO_SPARSE environment variable (0/dense, 1/sparse) overrides both
-// for A/B comparisons.
+// an explicit dense/sparse request (DcOptions::solver, TranOptions::solver,
+// the solve_ac argument, NetlistCircuit::set_solver) overrides it for A/B
+// comparisons.
 //
 // Device evaluation is requested per solve (MnaOptions::device_eval;
 // `automatic` is the table): the per-device temperature/geometry terms are
@@ -73,9 +74,8 @@ enum class MnaSolver { automatic, dense, sparse };
 /// bench/micro_perf abl_sparse_lu).
 inline constexpr std::size_t k_mna_sparse_crossover = 48;
 
-/// Resolve `requested` for a system of `size` unknowns: the KATO_SPARSE
-/// environment variable ("0"/"dense", "1"/"sparse") wins, then an explicit
-/// request, then the automatic size crossover.
+/// Resolve `requested` for a system of `size` unknowns: an explicit request
+/// wins, `automatic` takes the size crossover.
 MnaSolver resolve_mna_solver(MnaSolver requested, std::size_t size);
 
 /// Newton-iteration knobs shared by DC and transient (see DcOptions for the

@@ -1,15 +1,14 @@
 #include "util/fault.hpp"
 
 #include <atomic>
-#include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
+#include <limits>
+#include <string_view>
 #include <thread>
 
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 
 namespace kato::util {
 
@@ -45,22 +44,21 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// Same tolerant boolean as resolve_mna_solver's KATO_SPARSE: only an
-/// explicit "0"/"off"/"false" (case-sensitive, full string) disables.
-bool parse_toggle_off(const char* v) {
-  return std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-         std::strcmp(v, "false") == 0;
-}
-
-/// Startup hook mirroring obs::ObsBoot: parses KATO_FAULT /
-/// KATO_EVAL_DEADLINE_MS / KATO_RECOVERY before main() so the hot-path
-/// checks never need a once-flag.
+/// Startup hook mirroring obs::ObsBoot: reads KATO_FAULT and
+/// KATO_EVAL_DEADLINE_MS before main() so the hot-path checks never need a
+/// once-flag.
 struct FaultBoot {
   FaultBoot() {
-    set_fault(fault_from_env());
-    if (auto ms = deadline_ms_from_env()) set_eval_deadline_ms(*ms);
-    if (const char* v = std::getenv("KATO_RECOVERY"))
-      if (parse_toggle_off(v)) set_recovery_enabled(false);
+    const char* fault = env_raw("KATO_FAULT");
+    const auto spec = parse_fault_spec(fault);
+    if (fault != nullptr && !spec)
+      env_warn("KATO_FAULT", fault,
+               "<stage>:<kind>:<rate>:<seed>, rate in (0,1]",
+               "feature disabled");
+    set_fault(spec);
+    if (const auto ms = env_count("KATO_EVAL_DEADLINE_MS",
+                                   std::numeric_limits<std::uint64_t>::max()))
+      set_eval_deadline_ms(*ms);
   }
 };
 FaultBoot g_fault_boot;
@@ -68,56 +66,30 @@ FaultBoot g_fault_boot;
 }  // namespace
 
 std::optional<FaultSpec> parse_fault_spec(const char* value) {
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  const std::string s(value);
-  // Full-string discipline: any whitespace anywhere is a shell-quoting
-  // accident (and would sneak past strtod/strtoull, which skip it).
-  for (char c : s)
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return std::nullopt;
-  // "<stage>:<kind>:<rate>:<seed>" — stage:kind is itself colon-separated,
-  // so split from the right: the last two fields are rate and seed.
-  const auto p_seed = s.rfind(':');
-  if (p_seed == std::string::npos || p_seed == 0) return std::nullopt;
-  const auto p_rate = s.rfind(':', p_seed - 1);
-  if (p_rate == std::string::npos || p_rate == 0) return std::nullopt;
-  const std::string site_str = s.substr(0, p_rate);
-  const std::string rate_str = s.substr(p_rate + 1, p_seed - p_rate - 1);
-  const std::string seed_str = s.substr(p_seed + 1);
-  if (rate_str.empty() || seed_str.empty()) return std::nullopt;
-
-  FaultSpec spec;
-  spec.site = FaultSite::count_;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(FaultSite::count_); ++i)
-    if (site_str == k_site_names[i]) spec.site = static_cast<FaultSite>(i);
-  if (spec.site == FaultSite::count_) return std::nullopt;
-
-  // Full-token numeric parses: strtod/strtoull must consume every
-  // character, and the seed must not be a negative number in disguise.
-  char* end = nullptr;
-  errno = 0;
-  spec.rate = std::strtod(rate_str.c_str(), &end);
-  if (errno != 0 || end != rate_str.c_str() + rate_str.size())
-    return std::nullopt;
-  if (!(spec.rate > 0.0) || spec.rate > 1.0) return std::nullopt;
-  if (seed_str.front() == '-' || seed_str.front() == '+') return std::nullopt;
-  errno = 0;
-  spec.seed = std::strtoull(seed_str.c_str(), &end, 10);
-  if (errno != 0 || end != seed_str.c_str() + seed_str.size())
-    return std::nullopt;
-  return spec;
-}
-
-std::optional<FaultSpec> fault_from_env() {
-  const char* value = std::getenv("KATO_FAULT");
   if (value == nullptr) return std::nullopt;
-  auto parsed = parse_fault_spec(value);
-  if (!parsed)
-    std::fprintf(stderr,
-                 "KATO_FAULT: ignoring unusable spec '%s' (want "
-                 "<stage>:<kind>:<rate>:<seed>, rate in (0,1]); "
-                 "feature disabled\n",
-                 value);
-  return parsed;
+  // "<stage>:<kind>:<rate>:<seed>" — stage:kind is itself colon-separated,
+  // so split from the right: the last two fields are rate and seed.  Each
+  // field must match whole, so whitespace or a sign anywhere rejects.
+  const std::string_view s(value);
+  const auto p_seed = s.rfind(':');
+  if (p_seed == std::string_view::npos || p_seed == 0) return std::nullopt;
+  const auto p_rate = s.rfind(':', p_seed - 1);
+  if (p_rate == std::string_view::npos || p_rate == 0) return std::nullopt;
+  const std::string_view site = s.substr(0, p_rate);
+  const std::string_view rate = s.substr(p_rate + 1, p_seed - p_rate - 1);
+
+  FaultSpec spec;  // site starts at count_, i.e. unmatched
+  for (std::size_t i = 0; i < static_cast<std::size_t>(FaultSite::count_); ++i)
+    if (site == k_site_names[i]) spec.site = static_cast<FaultSite>(i);
+  if (spec.site == FaultSite::count_) return std::nullopt;
+  const auto [end, ec] =
+      std::from_chars(rate.data(), rate.data() + rate.size(), spec.rate);
+  if (ec != std::errc{} || end != rate.data() + rate.size()) return std::nullopt;
+  if (!(spec.rate > 0.0) || spec.rate > 1.0) return std::nullopt;
+  const auto seed = parse_decimal(s.substr(p_seed + 1));
+  if (!seed) return std::nullopt;
+  spec.seed = *seed;
+  return spec;
 }
 
 void set_fault(const std::optional<FaultSpec>& spec) {
@@ -155,45 +127,12 @@ bool fault_fires(FaultSite site) {
   return fire;
 }
 
-const char* fault_site_name(FaultSite site) {
-  const auto i = static_cast<std::size_t>(site);
-  if (i >= static_cast<std::size_t>(FaultSite::count_)) return "?";
-  return k_site_names[i];
-}
-
 bool recovery_enabled() {
   return g_recovery.load(std::memory_order_relaxed);
 }
 
 void set_recovery_enabled(bool on) {
   g_recovery.store(on, std::memory_order_relaxed);
-}
-
-std::optional<std::uint64_t> parse_deadline_ms(const char* value) {
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  const std::string s(value);
-  for (char c : s)  // strtoull skips leading whitespace; we must not
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return std::nullopt;
-  if (s.front() == '-' || s.front() == '+') return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t ms = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return std::nullopt;
-  if (ms == 0) return std::nullopt;  // "0" is a mistake, not "no deadline"
-  return ms;
-}
-
-std::optional<std::uint64_t> deadline_ms_from_env() {
-  const char* value = std::getenv("KATO_EVAL_DEADLINE_MS");
-  if (value == nullptr) return std::nullopt;
-  auto parsed = parse_deadline_ms(value);
-  if (!parsed)
-    std::fprintf(stderr,
-                 "KATO_EVAL_DEADLINE_MS: ignoring unusable value '%s' "
-                 "(want a positive integer millisecond budget); "
-                 "feature disabled\n",
-                 value);
-  return parsed;
 }
 
 std::uint64_t eval_deadline_ms() {
@@ -205,7 +144,12 @@ void set_eval_deadline_ms(std::uint64_t ms) {
 }
 
 EvalDeadline::EvalDeadline(std::uint64_t ms) : prev_ns_(t_deadline_ns) {
-  if (ms > 0) t_deadline_ns = now_ns() + ms * 1000000ULL;
+  if (ms == 0) return;
+  // Saturate: a budget too large to represent never expires, instead of
+  // wrapping to a deadline that has already passed.
+  constexpr std::uint64_t k_never = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t now = now_ns();
+  t_deadline_ns = ms > (k_never - now) / 1000000 ? k_never : now + ms * 1000000;
 }
 
 EvalDeadline::~EvalDeadline() { t_deadline_ns = prev_ns_; }

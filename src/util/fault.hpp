@@ -1,8 +1,7 @@
 #pragma once
 
 // Fault injection, per-candidate evaluation deadlines, and the recovery
-// toggle.  Three independent knobs, all parsed once at startup with the
-// same strict full-string discipline as KATO_SEEDS / KATO_TRACE:
+// toggle.  Two environment knobs, read once at startup via util/env.hpp:
 //
 //   KATO_FAULT=<stage>:<kind>:<rate>:<seed>
 //       Arms exactly one deterministic fault site (e.g. "dc:singular" or
@@ -18,10 +17,8 @@
 //       guard; the Newton and timestep loops poll deadline_exceeded()
 //       cooperatively.  Off (the default) costs one thread-local load.
 //
-//   KATO_RECOVERY=0|off
-//       Disables the recovery ladders (DC homotopy / pseudo-transient,
-//       transient step-floor + device-eval fallback) so tests and bit-
-//       identity checks can pin the pre-recovery failure behaviour.
+// The recovery ladders (DC homotopy / pseudo-transient, transient step-floor
+// + device-eval fallback) are on unless set_recovery_enabled(false).
 //
 // With no fault armed and no deadline set, every hook in the hot path is a
 // single predicated load — seeded BO runs are bit-identical to a build
@@ -52,18 +49,15 @@ struct FaultSpec {
 };
 
 /// Strict full-string parse of "<stage>:<kind>:<rate>:<seed>".  The
-/// stage:kind pair must name a FaultSite, rate must be a double in (0, 1]
-/// consuming its whole token, seed a non-negative integer likewise.
+/// stage:kind pair must name a FaultSite, rate must be a std::from_chars
+/// double in (0, 1] consuming its whole token (no sign, no hex), seed a
+/// util::parse_decimal integer.
 /// Returns nullopt on any deviation — no trimming, no partial parses.
 std::optional<FaultSpec> parse_fault_spec(const char* value);
 
-/// Reads KATO_FAULT; warns once on stderr (sink_from_env wording) and
-/// returns nullopt when the value is set but unusable.
-std::optional<FaultSpec> fault_from_env();
-
 /// Installs (or clears, with nullopt) the process-wide fault, resetting the
 /// draw counter so schedules restart from index 0.  Test hook; startup
-/// installs the env-derived spec before main().
+/// installs the KATO_FAULT spec before main().
 void set_fault(const std::optional<FaultSpec>& spec);
 
 /// True when the armed fault matches `site` and this draw fires.  Each call
@@ -76,32 +70,22 @@ bool fault_fires(FaultSite site);
 /// indices fire for a given spec.
 double fault_uniform(std::uint64_t seed, std::uint64_t index);
 
-/// Env-var spelling ("dc:singular") for messages and tests.
-const char* fault_site_name(FaultSite site);
-
 // --- Recovery toggle -------------------------------------------------------
 
-/// True unless KATO_RECOVERY disabled the ladders ("0"/"off"/"false", the
-/// KATO_SPARSE tolerant-parse precedent).
+/// True unless set_recovery_enabled(false) disabled the ladders.
 bool recovery_enabled();
 void set_recovery_enabled(bool on);
 
 // --- Evaluation deadlines --------------------------------------------------
-
-/// Strict full-string parse of a positive integer millisecond budget.
-/// "0", negatives, trailing junk, and whitespace all return nullopt.
-std::optional<std::uint64_t> parse_deadline_ms(const char* value);
-
-/// Reads KATO_EVAL_DEADLINE_MS with the same warn-once discipline.
-std::optional<std::uint64_t> deadline_ms_from_env();
 
 /// Process-wide per-candidate budget in ms; 0 means no deadline.
 std::uint64_t eval_deadline_ms();
 void set_eval_deadline_ms(std::uint64_t ms);
 
 /// Arms the calling thread's deadline for one candidate evaluation:
-/// ctor computes now + ms (ms == 0 leaves the thread unarmed), dtor
-/// restores the previous value so nested scopes compose.
+/// ctor computes now + ms, saturating rather than wrapping (ms == 0 leaves
+/// the thread unarmed), dtor restores the previous value so nested scopes
+/// compose.
 class EvalDeadline {
  public:
   explicit EvalDeadline(std::uint64_t ms);

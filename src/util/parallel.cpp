@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -11,12 +10,16 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 
 namespace kato::util {
 
 namespace {
 
 constexpr std::size_t k_min_cap = 4;
+
+/// Worker count; 0 until the first thread_count() or set_thread_count().
+std::atomic<std::size_t> g_threads{0};
 
 thread_local bool t_on_pool_thread = false;
 /// Depth of parallel_for frames on this thread.  The pool runs exactly one
@@ -152,17 +155,19 @@ std::size_t thread_cap() {
 }
 
 std::size_t thread_count() {
-  const char* env = std::getenv("KATO_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') return 1;  // trailing garbage: reject
-  if (parsed < 1) return 1;
-  const std::size_t cap = thread_cap();
-  return std::min(static_cast<std::size_t>(parsed), cap);
+  if (const std::size_t n = g_threads.load(std::memory_order_relaxed)) return n;
+  // First use: KATO_THREADS, unless a set_thread_count() got in first.
+  std::size_t unset = 0;
+  g_threads.compare_exchange_strong(
+      unset, env_count("KATO_THREADS", thread_cap()).value_or(1),
+      std::memory_order_relaxed);
+  return g_threads.load(std::memory_order_relaxed);
 }
 
-bool on_pool_thread() { return t_on_pool_thread; }
+void set_thread_count(std::size_t n) {
+  g_threads.store(std::clamp<std::size_t>(n, 1, thread_cap()),
+                  std::memory_order_relaxed);
+}
 
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn) {

@@ -2,8 +2,9 @@
 // Deterministic thread-parallel helpers for the GP training and
 // acquisition/prediction hot paths.
 //
-// Thread count comes from the KATO_THREADS environment variable (default 1 =
-// fully sequential, matching the library's historical behavior).  Work is
+// Thread count comes from the KATO_THREADS environment variable, read once at
+// first use (default 1 = fully sequential, matching the library's historical
+// behavior), or from set_thread_count().  Work is
 // split into contiguous index ranges so a function that writes result[i] for
 // each i produces bit-identical output at any thread count — the property the
 // MACE proposal path and the parallel MultiGp fit rely on
@@ -26,15 +27,14 @@ namespace kato::util {
 /// degenerate to the sequential path.
 std::size_t thread_cap();
 
-/// Worker count from KATO_THREADS, clamped to [1, thread_cap()].  Unset or
-/// empty means 1 (sequential).  Garbage is rejected, not best-effort parsed:
-/// any non-numeric trailing characters, negative or zero values fall back to
-/// 1.  Read on every call so tests can flip the knob with setenv().
+/// Worker count.  The first call reads KATO_THREADS through util::env_count
+/// (clamped to thread_cap(); unset or rejected means 1, sequential) unless
+/// set_thread_count() ran first; changing the variable later has no effect.
 std::size_t thread_count();
 
-/// True when the calling thread is a pool worker (used to run nested
-/// parallel_for calls inline).
-bool on_pool_thread();
+/// Override the worker count, clamped to [1, thread_cap()].  The knob tests
+/// and benches use to A/B thread counts inside one process.
+void set_thread_count(std::size_t n);
 
 /// Invoke fn(begin, end) over a partition of [0, n) using thread_count()
 /// workers.  Runs inline (no pool dispatch) when the worker count is 1, n is

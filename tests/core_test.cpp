@@ -5,42 +5,27 @@
 
 #include "core/experiment.hpp"
 #include "core/kato.hpp"
+#include "util/parallel.hpp"
 
 using namespace kato;
 
 TEST(SeedList, DefaultAndEnvOverride) {
+  // KATO_SEEDS goes through util::env_count (its grammar is pinned in
+  // util_test); this pins the wiring: fallback, 1..n, and the 1024 cap.
   unsetenv("KATO_SEEDS");
   auto seeds = core::seed_list(3);
   ASSERT_EQ(seeds.size(), 3u);
   EXPECT_EQ(seeds[0], 1u);
   setenv("KATO_SEEDS", "5", 1);
-  EXPECT_EQ(core::seed_list(3).size(), 5u);
+  seeds = core::seed_list(3);
+  ASSERT_EQ(seeds.size(), 5u);
+  EXPECT_EQ(seeds[4], 5u);
   setenv("KATO_SEEDS", "bogus", 1);
   EXPECT_EQ(core::seed_list(3).size(), 3u);
-  unsetenv("KATO_SEEDS");
-}
-
-TEST(SeedList, RejectsMalformedAndClampsHugeCounts) {
-  // Strict full-string parse: trailing garbage must not silently truncate
-  // ("4abc" used to read as 4, "1e3" as 1).
-  setenv("KATO_SEEDS", "4abc", 1);
-  EXPECT_EQ(core::seed_list(3).size(), 3u);
-  setenv("KATO_SEEDS", "1e3", 1);
-  EXPECT_EQ(core::seed_list(3).size(), 3u);
-  setenv("KATO_SEEDS", " 7", 1);  // leading whitespace is strtol-legal
-  EXPECT_EQ(core::seed_list(3).size(), 7u);
-  setenv("KATO_SEEDS", "7 ", 1);  // trailing whitespace is not
-  EXPECT_EQ(core::seed_list(3).size(), 3u);
-  setenv("KATO_SEEDS", "0", 1);
-  EXPECT_EQ(core::seed_list(3).size(), 3u);
-  setenv("KATO_SEEDS", "-5", 1);
-  EXPECT_EQ(core::seed_list(3).size(), 3u);
-  setenv("KATO_SEEDS", "", 1);
+  setenv("KATO_SEEDS", " 7", 1);  // whitespace is rejected like any junk
   EXPECT_EQ(core::seed_list(3).size(), 3u);
   // A fat-fingered huge count clamps instead of exploding the sweep.
   setenv("KATO_SEEDS", "999999999", 1);
-  EXPECT_EQ(core::seed_list(3).size(), 1024u);
-  setenv("KATO_SEEDS", "1024", 1);
   EXPECT_EQ(core::seed_list(3).size(), 1024u);
   unsetenv("KATO_SEEDS");
 }
@@ -57,31 +42,28 @@ TEST(KatoOptimizer, FacadeEndToEnd) {
 
 TEST(KatoOptimizer, SeedReproducibleTrace) {
   // Same seed => bit-identical simulation history and FOM/objective trace,
-  // independent of the KATO_THREADS knob.  This pins the end-to-end
+  // independent of the worker count.  This pins the end-to-end
   // determinism contract: every stochastic component draws from explicit
   // seeded streams, and the threaded acquisition path must not reorder
   // arithmetic.
   auto circuit = ckt::make_circuit("opamp2", "180nm");
 
-  auto run = [&](const char* threads) {
-    if (threads == nullptr)
-      unsetenv("KATO_THREADS");
-    else
-      setenv("KATO_THREADS", threads, 1);
+  auto run = [&](std::size_t threads) {
+    util::set_thread_count(threads);
     KatoOptimizer opt(*circuit);
     opt.config().n_init = 40;
     opt.config().iterations = 3;
     auto r = opt.optimize(7);
-    unsetenv("KATO_THREADS");
+    util::set_thread_count(1);
     return r;
   };
 
-  const auto r1 = run(nullptr);
-  const auto r2 = run(nullptr);
-  const auto r3 = run("4");
+  const auto r1 = run(1);
+  const auto r2 = run(1);
+  const auto r3 = run(4);
   // Three workers over four metrics: an uneven split of the acquisition's
   // (metric x query range) cells.
-  const auto r4 = run("3");
+  const auto r4 = run(3);
 
   ASSERT_EQ(r1.trace.size(), r2.trace.size());
   ASSERT_EQ(r1.trace.size(), r3.trace.size());

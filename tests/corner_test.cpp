@@ -10,11 +10,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "circuits/factory.hpp"
 #include "core/experiment.hpp"
 #include "netlist/netlist_circuit.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ckt = kato::ckt;
@@ -272,16 +272,12 @@ TEST(CornerAgg, BatchBitIdenticalAcrossThreadCounts) {
     for (auto& v : x) v = rng.uniform();
     xs.push_back(std::move(x));
   }
-  const char* prev = std::getenv("KATO_THREADS");
-  const std::string saved = prev ? prev : "";
-  setenv("KATO_THREADS", "1", 1);
+  const std::size_t saved = kato::util::thread_count();
+  kato::util::set_thread_count(1);
   const auto serial = c->evaluate_batch(xs);
-  setenv("KATO_THREADS", "4", 1);
+  kato::util::set_thread_count(4);
   const auto parallel = c->evaluate_batch(xs);
-  if (prev)
-    setenv("KATO_THREADS", saved.c_str(), 1);
-  else
-    unsetenv("KATO_THREADS");
+  kato::util::set_thread_count(saved);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -351,16 +347,12 @@ TEST(CornerBo, EndToEndBothNodesReproducible) {
     cfg.hyper_every = 2;
     cfg.gp_initial.iterations = 12;
     cfg.gp_refit.iterations = 5;
-    const char* prev = std::getenv("KATO_THREADS");
-    const std::string saved = prev ? prev : "";
-    setenv("KATO_THREADS", "1", 1);
+    const std::size_t saved = kato::util::thread_count();
+    kato::util::set_thread_count(1);
     const auto r1 = bo::run_constrained(*c, bo::ConstrainedMethod::kato, cfg, 5);
-    setenv("KATO_THREADS", "4", 1);
+    kato::util::set_thread_count(4);
     const auto r2 = bo::run_constrained(*c, bo::ConstrainedMethod::kato, cfg, 5);
-    if (prev)
-      setenv("KATO_THREADS", saved.c_str(), 1);
-    else
-      unsetenv("KATO_THREADS");
+    kato::util::set_thread_count(saved);
     ASSERT_EQ(r1.trace.size(), r2.trace.size()) << node;
     EXPECT_EQ(r1.trace.size(), cfg.n_init + cfg.batch * cfg.iterations);
     for (std::size_t i = 0; i < r1.trace.size(); ++i)

@@ -22,6 +22,7 @@
 #include "obs/obs.hpp"
 #include "sim/dc.hpp"
 #include "sim/transient.hpp"
+#include "util/parallel.hpp"
 
 namespace obs = kato::obs;
 namespace sim = kato::sim;
@@ -61,43 +62,6 @@ sim::Circuit divider() {
   c.add_resistor(vin, mid, 1e3);
   c.add_resistor(mid, sim::Circuit::ground, 2e3);
   return c;
-}
-
-// --- Env parsing -----------------------------------------------------------
-
-TEST(ObsEnv, ParseSinkPathFullStringDiscipline) {
-  EXPECT_FALSE(obs::parse_sink_path(nullptr).has_value());
-  EXPECT_FALSE(obs::parse_sink_path("").has_value());
-  EXPECT_FALSE(obs::parse_sink_path(" /tmp/t.json").has_value());
-  EXPECT_FALSE(obs::parse_sink_path("/tmp/t.json ").has_value());
-  EXPECT_FALSE(obs::parse_sink_path("\t/tmp/t.json").has_value());
-  EXPECT_FALSE(obs::parse_sink_path("/tmp/t.json\n").has_value());
-  EXPECT_FALSE(obs::parse_sink_path(" ").has_value());
-  ASSERT_TRUE(obs::parse_sink_path("-").has_value());
-  EXPECT_EQ(*obs::parse_sink_path("-"), "-");
-  ASSERT_TRUE(obs::parse_sink_path("/tmp/t.json").has_value());
-  EXPECT_EQ(*obs::parse_sink_path("/tmp/t.json"), "/tmp/t.json");
-  // Interior spaces are legal path characters; only the edges are policed.
-  ASSERT_TRUE(obs::parse_sink_path("out dir/t.json").has_value());
-  EXPECT_EQ(*obs::parse_sink_path("out dir/t.json"), "out dir/t.json");
-}
-
-TEST(ObsEnv, SinkFromEnvMirrorsSeedListDiscipline) {
-  unsetenv("KATO_STATS");
-  EXPECT_FALSE(obs::sink_from_env("KATO_STATS").has_value());
-  setenv("KATO_STATS", "", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_STATS").has_value());
-  setenv("KATO_STATS", " stats.json", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_STATS").has_value());
-  setenv("KATO_STATS", "stats.json ", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_STATS").has_value());
-  setenv("KATO_STATS", "-", 1);
-  ASSERT_TRUE(obs::sink_from_env("KATO_STATS").has_value());
-  EXPECT_EQ(*obs::sink_from_env("KATO_STATS"), "-");
-  setenv("KATO_STATS", "stats.json", 1);
-  ASSERT_TRUE(obs::sink_from_env("KATO_STATS").has_value());
-  EXPECT_EQ(*obs::sink_from_env("KATO_STATS"), "stats.json");
-  unsetenv("KATO_STATS");
 }
 
 // --- Counter goldens -------------------------------------------------------
@@ -251,7 +215,7 @@ TEST(ObsTrace, SchemaValidAndThreadBuffersSurviveConcurrentFlush) {
   const auto serial = deck->evaluate_batch(xs);
 
   const std::string path = trace_path("obs_trace_schema.json");
-  setenv("KATO_THREADS", "4", 1);
+  kato::util::set_thread_count(4);
   // Warm the pool untraced so the workers are spawned and parked — a parked
   // worker wakes in microseconds and reliably claims chunks of the traced
   // batch, whereas thread spawn can lose the race against fast evals.
@@ -261,7 +225,7 @@ TEST(ObsTrace, SchemaValidAndThreadBuffersSurviveConcurrentFlush) {
   const auto traced = deck->evaluate_batch(xs);
   const std::size_t n_events = obs::trace_end();
   obs::set_trace_buffer_capacity_for_test(1 << 16);
-  unsetenv("KATO_THREADS");
+  kato::util::set_thread_count(1);
 
   EXPECT_GT(n_events, 0u);
   ASSERT_EQ(traced.size(), serial.size());
@@ -577,26 +541,6 @@ TEST(ObsJournal, RunIdsAreProcessUnique) {
   const auto a = obs::journal_next_run_id();
   const auto b = obs::journal_next_run_id();
   EXPECT_LT(a, b);
-}
-
-TEST(ObsJournal, RunLogEnvFollowsSinkDiscipline) {
-  // KATO_RUN_LOG goes through the same sink_from_env gate as
-  // KATO_STATS/KATO_TRACE: full-string parse, whitespace edges rejected.
-  unsetenv("KATO_RUN_LOG");
-  EXPECT_FALSE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  setenv("KATO_RUN_LOG", "", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  setenv("KATO_RUN_LOG", " run.jsonl", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  setenv("KATO_RUN_LOG", "run.jsonl\t", 1);
-  EXPECT_FALSE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  setenv("KATO_RUN_LOG", "-", 1);
-  ASSERT_TRUE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  EXPECT_EQ(*obs::sink_from_env("KATO_RUN_LOG"), "-");
-  setenv("KATO_RUN_LOG", "run.jsonl", 1);
-  ASSERT_TRUE(obs::sink_from_env("KATO_RUN_LOG").has_value());
-  EXPECT_EQ(*obs::sink_from_env("KATO_RUN_LOG"), "run.jsonl");
-  unsetenv("KATO_RUN_LOG");
 }
 
 // --- Off-path bit-identity (slow) ------------------------------------------

@@ -47,18 +47,6 @@ gp::GaussianProcess fitted_neuk_gp(std::size_t n, std::size_t d,
   return model;
 }
 
-/// RAII guard for the KATO_THREADS knob.
-class ThreadsEnv {
- public:
-  explicit ThreadsEnv(const char* value) {
-    if (value == nullptr)
-      unsetenv("KATO_THREADS");
-    else
-      setenv("KATO_THREADS", value, 1);
-  }
-  ~ThreadsEnv() { unsetenv("KATO_THREADS"); }
-};
-
 /// Objective (metric 0) plus, when n_metrics == 2, one constraint metric.
 bo::GpSurrogate fitted_surrogate(std::uint64_t seed, std::size_t n_metrics = 2) {
   kato::util::Rng rng(seed);
@@ -110,16 +98,11 @@ TEST(PredictBatch, ThreadCountDoesNotChangeResults) {
   kato::util::Rng rng(46);
   const auto q = random_points(29, 5, rng);
 
-  std::vector<gp::GpPrediction> single;
-  {
-    ThreadsEnv env("1");
-    single = model.predict_batch(q);
-  }
-  std::vector<gp::GpPrediction> threaded;
-  {
-    ThreadsEnv env("4");
-    threaded = model.predict_batch(q);
-  }
+  kato::util::set_thread_count(1);
+  const auto single = model.predict_batch(q);
+  kato::util::set_thread_count(4);
+  const auto threaded = model.predict_batch(q);
+  kato::util::set_thread_count(1);
   ASSERT_EQ(single.size(), threaded.size());
   for (std::size_t i = 0; i < single.size(); ++i) {
     // Bit-identical, not just close: chunking must not reorder arithmetic.
@@ -233,13 +216,11 @@ TEST(PredictBatch, MultiGpBitIdenticalAcrossThreadCounts) {
     const auto q = random_points(shape.queries, 4, rng);
 
     std::vector<std::vector<gp::GpPrediction>> per_metric;
-    {
-      ThreadsEnv env("1");
-      for (std::size_t m = 0; m < metrics; ++m)
-        per_metric.push_back(multi.metric(m).predict_batch(q));
-    }
-    for (const char* threads : {"1", "2", "3", "4"}) {
-      ThreadsEnv env(threads);
+    kato::util::set_thread_count(1);
+    for (std::size_t m = 0; m < metrics; ++m)
+      per_metric.push_back(multi.metric(m).predict_batch(q));
+    for (std::size_t threads : {1, 2, 3, 4}) {
+      kato::util::set_thread_count(threads);
       const auto batch = multi.predict_batch(q);
       ASSERT_EQ(batch.size(), q.rows());
       for (std::size_t i = 0; i < q.rows(); ++i) {
@@ -252,6 +233,7 @@ TEST(PredictBatch, MultiGpBitIdenticalAcrossThreadCounts) {
         }
       }
     }
+    kato::util::set_thread_count(1);
   }
 }
 
@@ -298,8 +280,8 @@ TEST(PredictBatch, StdBatchVarianceBitsWithExactZerosInFactor) {
   la::Matrix q(qa.rows() + qb.rows(), d);
   for (std::size_t i = 0; i < qa.rows(); ++i) q.set_row(i, qa.row(i));
   for (std::size_t i = 0; i < qb.rows(); ++i) q.set_row(qa.rows() + i, qb.row(i));
-  for (const char* threads : {"1", "4"}) {
-    ThreadsEnv env(threads);
+  for (std::size_t threads : {1, 4}) {
+    kato::util::set_thread_count(threads);
     const auto got = both.predict_std_batch(q);
     for (std::size_t i = 0; i < q.rows(); ++i) {
       const double want =
@@ -309,6 +291,7 @@ TEST(PredictBatch, StdBatchVarianceBitsWithExactZerosInFactor) {
           << " vs " << want;
     }
   }
+  kato::util::set_thread_count(1);
 }
 
 TEST(PredictBatch, KatGpBitIdenticalAcrossThreadCounts) {
@@ -326,13 +309,10 @@ TEST(PredictBatch, KatGpBitIdenticalAcrossThreadCounts) {
     kat.set_target_data(xt, yt);
     const auto q = random_points(13, 3, rng);
 
-    std::vector<std::vector<gp::GpPrediction>> single;
-    {
-      ThreadsEnv env("1");
-      single = kat.predict_batch(q);
-    }
-    for (const char* threads : {"2", "3", "4"}) {
-      ThreadsEnv env(threads);
+    kato::util::set_thread_count(1);
+    const auto single = kat.predict_batch(q);
+    for (std::size_t threads : {2, 3, 4}) {
+      kato::util::set_thread_count(threads);
       const auto batch = kat.predict_batch(q);
       ASSERT_EQ(batch.size(), single.size());
       for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -345,6 +325,7 @@ TEST(PredictBatch, KatGpBitIdenticalAcrossThreadCounts) {
         }
       }
     }
+    kato::util::set_thread_count(1);
   }
 }
 
@@ -360,16 +341,11 @@ TEST(ThreadedMace, ProposalsBitIdenticalToSingleThread) {
     return bo::mace_proposals(surr, specs, 0.1, opts, rng, {});
   };
 
-  kato::moo::ParetoSet single;
-  {
-    ThreadsEnv env("1");
-    single = run();
-  }
-  kato::moo::ParetoSet threaded;
-  {
-    ThreadsEnv env("4");
-    threaded = run();
-  }
+  kato::util::set_thread_count(1);
+  const auto single = run();
+  kato::util::set_thread_count(4);
+  const auto threaded = run();
+  kato::util::set_thread_count(1);
   // The proposal set must be bit-identical: same designs, same acquisition
   // values, same order.
   ASSERT_EQ(single.x.size(), threaded.x.size());
@@ -389,16 +365,11 @@ TEST(ThreadedMace, UnconstrainedVariantBitIdenticalToo) {
     kato::util::Rng rng(51);
     return bo::mace_proposals(surr, {}, 0.2, opts, rng, {});
   };
-  kato::moo::ParetoSet single;
-  {
-    ThreadsEnv env(nullptr);  // unset: defaults to 1
-    single = run();
-  }
-  kato::moo::ParetoSet threaded;
-  {
-    ThreadsEnv env("3");
-    threaded = run();
-  }
+  kato::util::set_thread_count(1);
+  const auto single = run();
+  kato::util::set_thread_count(3);
+  const auto threaded = run();
+  kato::util::set_thread_count(1);
   ASSERT_EQ(single.x.size(), threaded.x.size());
   for (std::size_t i = 0; i < single.x.size(); ++i) {
     EXPECT_EQ(single.x[i], threaded.x[i]);
@@ -407,73 +378,43 @@ TEST(ThreadedMace, UnconstrainedVariantBitIdenticalToo) {
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadsEnv env("5");
+  kato::util::set_thread_count(5);
   std::vector<int> hits(1001, 0);
   kato::util::parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) hits[i] += 1;
   });
+  kato::util::set_thread_count(1);
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1);
 }
 
 TEST(ParallelFor, PropagatesExceptions) {
-  ThreadsEnv env("4");
+  kato::util::set_thread_count(4);
   EXPECT_THROW(
       kato::util::parallel_for(100,
                                [&](std::size_t b, std::size_t) {
                                  if (b == 0) throw std::runtime_error("boom");
                                }),
       std::runtime_error);
+  kato::util::set_thread_count(1);
 }
 
-TEST(ThreadCount, ParsesEnvironment) {
+TEST(ThreadCount, SetThreadCountClampsToCap) {
+  // KATO_THREADS parsing is util::env_count's (pinned in util_test); the
+  // override clamps the same way, to [1, thread_cap()].
   const std::size_t cap = kato::util::thread_cap();
   EXPECT_GE(cap, 4u);  // floor keeps oversubscription tests meaningful
-  {
-    ThreadsEnv env(nullptr);
-    EXPECT_EQ(kato::util::thread_count(), 1u);
-  }
-  {
-    ThreadsEnv env("");
-    EXPECT_EQ(kato::util::thread_count(), 1u);
-  }
-  {
-    ThreadsEnv env("2");
-    EXPECT_EQ(kato::util::thread_count(), 2u);
-  }
-  {
-    // Clamped to [1, thread_cap()].
-    ThreadsEnv env("6");
-    EXPECT_EQ(kato::util::thread_count(), std::min<std::size_t>(6, cap));
-  }
-  {
-    ThreadsEnv env("1000");
-    EXPECT_EQ(kato::util::thread_count(), cap);
-  }
-  {
-    ThreadsEnv env("0");
-    EXPECT_EQ(kato::util::thread_count(), 1u);
-  }
-  {
-    ThreadsEnv env("-3");
-    EXPECT_EQ(kato::util::thread_count(), 1u);
-  }
-  {
-    ThreadsEnv env("garbage");
-    EXPECT_EQ(kato::util::thread_count(), 1u);
-  }
-  {
-    // Trailing junk is rejected outright, not best-effort parsed.
-    ThreadsEnv env("6abc");
-    EXPECT_EQ(kato::util::thread_count(), 1u);
-  }
-  {
-    ThreadsEnv env("2 ");
-    EXPECT_EQ(kato::util::thread_count(), 1u);
-  }
+  kato::util::set_thread_count(2);
+  EXPECT_EQ(kato::util::thread_count(), 2u);
+  kato::util::set_thread_count(6);
+  EXPECT_EQ(kato::util::thread_count(), std::min<std::size_t>(6, cap));
+  kato::util::set_thread_count(1000);
+  EXPECT_EQ(kato::util::thread_count(), cap);
+  kato::util::set_thread_count(0);
+  EXPECT_EQ(kato::util::thread_count(), 1u);
 }
 
 TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
-  ThreadsEnv env("4");
+  kato::util::set_thread_count(4);
   const std::size_t outer = 24;
   const std::size_t inner = 16;
   std::vector<int> hits(outer * inner, 0);
@@ -483,6 +424,7 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
         for (std::size_t j = jb; j < je; ++j) hits[i * inner + j] += 1;
       });
   });
+  kato::util::set_thread_count(1);
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
 }
 
@@ -604,7 +546,7 @@ TEST(FusedKernel, GpFitAgreesWithReferencePath) {
 
 namespace {
 
-gp::MultiGp fitted_multi(const char* threads, std::uint64_t seed,
+gp::MultiGp fitted_multi(std::size_t threads, std::uint64_t seed,
                          const gp::GpFitOptions& opts) {
   kato::util::Rng rng(seed);
   gp::MultiGp multi(3, [&] {
@@ -619,10 +561,11 @@ gp::MultiGp fitted_multi(const char* threads, std::uint64_t seed,
     y(i, 1) = x(i, 1) * x(i, 2);
     y(i, 2) = std::cos(2.0 * x(i, 3));
   }
-  ThreadsEnv env(threads);
+  kato::util::set_thread_count(threads);
   multi.set_data(x, y);
   kato::util::Rng fit_rng(seed + 1);
   multi.fit(opts, fit_rng);
+  kato::util::set_thread_count(1);
   return multi;
 }
 
@@ -632,8 +575,8 @@ TEST(ParallelMultiGpFit, BitIdenticalAcrossThreadCounts) {
   gp::GpFitOptions opts;
   opts.iterations = 4;
   opts.max_train_points = 96;  // force the RNG-driven subsample
-  const auto serial = fitted_multi("1", 70, opts);
-  for (const char* threads : {"2", "4"}) {
+  const auto serial = fitted_multi(1, 70, opts);
+  for (std::size_t threads : {2, 4}) {
     const auto par = fitted_multi(threads, 70, opts);
     for (std::size_t m = 0; m < serial.n_metrics(); ++m) {
       const auto ps = serial.metric(m).kernel().params();
@@ -701,8 +644,8 @@ TEST(WarmStartRefit, RefitTraceSeedReproducible) {
   // A BO-style refit sequence (grow data, alternate posterior-only and
   // hyper refits) must be bit-identical when replayed with the same seed,
   // at any thread count.
-  auto run = [](const char* threads) {
-    ThreadsEnv env(threads);
+  auto run = [](std::size_t threads) {
+    kato::util::set_thread_count(threads);
     kato::util::Rng rng(83);
     const gp::GpFitOptions initial{12, 0.05, 192, 1e-6};
     const gp::GpFitOptions refit{3, 0.03, 128, 1e-6};
@@ -723,11 +666,12 @@ TEST(WarmStartRefit, RefitTraceSeedReproducible) {
       trace.push_back(p[0].var);
       trace.push_back(p[1].mean);
     }
+    kato::util::set_thread_count(1);
     return trace;
   };
-  const auto t1 = run(nullptr);
-  const auto t2 = run(nullptr);
-  const auto t3 = run("4");
+  const auto t1 = run(1);
+  const auto t2 = run(1);
+  const auto t3 = run(4);
   ASSERT_EQ(t1.size(), t2.size());
   for (std::size_t i = 0; i < t1.size(); ++i) {
     EXPECT_EQ(t1[i], t2[i]) << i;
@@ -815,15 +759,16 @@ TEST(PredictStdGradBatch, LazyInverseFromPoolWorkersMatchesEagerInverse) {
     la::Matrix dmean;
     la::Matrix dvar;
   };
-  auto grads_at = [&](const char* threads) {
+  auto grads_at = [&](std::size_t threads) {
     const auto g = make_source();
-    ThreadsEnv env(threads);
+    kato::util::set_thread_count(threads);
     Grads out;
     g.predict_std_grad_batch(q, out.preds, out.dmean, out.dvar);
+    kato::util::set_thread_count(1);
     return out;
   };
-  const Grads serial = grads_at("1");
-  const Grads pooled = grads_at("4");
+  const Grads serial = grads_at(1);
+  const Grads pooled = grads_at(4);
 
   // Eager reference: K from matrix(), factor, explicit inverse.
   const auto g = make_source();

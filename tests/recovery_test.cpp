@@ -1,5 +1,5 @@
-// Fault-tolerant evaluation pipeline: KATO_FAULT / KATO_EVAL_DEADLINE_MS /
-// KATO_RECOVERY parse discipline, the deterministic splitmix64 fault stream,
+// Fault-tolerant evaluation pipeline: the KATO_FAULT spec grammar, the
+// deterministic splitmix64 fault stream, deadline arithmetic,
 // a fault-injection matrix forcing every recovery path (DC homotopy, DC
 // pseudo-transient, transient step-floor + device fallback, sparse LU
 // re-pivot, GP jitter retry, deadline kill) with its obs counter, batch
@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -88,7 +88,7 @@ util::FaultSpec spec(util::FaultSite site, double rate, std::uint64_t seed) {
 
 }  // namespace
 
-// --- KATO_FAULT / KATO_EVAL_DEADLINE_MS parse discipline --------------------
+// --- KATO_FAULT spec grammar (the env read itself is util::env_raw's) -------
 
 TEST(FaultEnv, ParsesWellFormedSpecs) {
   const auto a = util::parse_fault_spec("dc:singular:1:42");
@@ -102,6 +102,11 @@ TEST(FaultEnv, ParsesWellFormedSpecs) {
   EXPECT_EQ(b->site, util::FaultSite::tran_nan_device);
   EXPECT_DOUBLE_EQ(b->rate, 0.25);
   EXPECT_EQ(b->seed, 7u);
+
+  const auto c = util::parse_fault_spec("tran:nan_device:1:99");
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->site, util::FaultSite::tran_nan_device);
+  EXPECT_EQ(c->seed, 99u);
 
   EXPECT_EQ(util::parse_fault_spec("lu:collapse:0.5:0")->site,
             util::FaultSite::lu_collapse);
@@ -120,51 +125,22 @@ TEST(FaultEnv, RejectsMalformedSpecsWholesale) {
   EXPECT_FALSE(util::parse_fault_spec("dc:singular").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:1").has_value());
   EXPECT_FALSE(util::parse_fault_spec("bogus:kind:1:1").has_value());
+  EXPECT_FALSE(util::parse_fault_spec("dc:singular:one:1").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:0:1").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:1.5:1").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:-0.5:1").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:0.5x:1").has_value());
+  EXPECT_FALSE(util::parse_fault_spec("dc:singular:+0.5:1").has_value());
+  EXPECT_FALSE(util::parse_fault_spec("dc:singular:0x1p-1:1").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:1:-3").has_value());
+  EXPECT_FALSE(util::parse_fault_spec("dc:singular:1:+3").has_value());
+  EXPECT_FALSE(util::parse_fault_spec("dc:singular:1:18446744073709551616")
+                   .has_value());  // seed out of uint64 range
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:1:4.2").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:1:1:extra").has_value());
   EXPECT_FALSE(util::parse_fault_spec(" dc:singular:1:1").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular:1:1 ").has_value());
   EXPECT_FALSE(util::parse_fault_spec("dc:singular: 1:1").has_value());
-}
-
-TEST(FaultEnv, FaultFromEnvWarnsAndDisablesOnBadValue) {
-  unsetenv("KATO_FAULT");
-  EXPECT_FALSE(util::fault_from_env().has_value());
-  setenv("KATO_FAULT", "dc:singular:one:1", 1);
-  EXPECT_FALSE(util::fault_from_env().has_value());
-  setenv("KATO_FAULT", "tran:nan_device:1:99", 1);
-  const auto spec = util::fault_from_env();
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->site, util::FaultSite::tran_nan_device);
-  EXPECT_EQ(spec->seed, 99u);
-  unsetenv("KATO_FAULT");
-}
-
-TEST(FaultEnv, DeadlineParseIsStrictPositiveInteger) {
-  EXPECT_EQ(util::parse_deadline_ms("500"), 500u);
-  EXPECT_EQ(util::parse_deadline_ms("1"), 1u);
-  EXPECT_FALSE(util::parse_deadline_ms(nullptr).has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("0").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("-5").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("+5").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("12ms").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("1.5").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms(" 12").has_value());
-  EXPECT_FALSE(util::parse_deadline_ms("12 ").has_value());
-
-  unsetenv("KATO_EVAL_DEADLINE_MS");
-  EXPECT_FALSE(util::deadline_ms_from_env().has_value());
-  setenv("KATO_EVAL_DEADLINE_MS", "0", 1);
-  EXPECT_FALSE(util::deadline_ms_from_env().has_value());
-  setenv("KATO_EVAL_DEADLINE_MS", "250", 1);
-  EXPECT_EQ(util::deadline_ms_from_env(), 250u);
-  unsetenv("KATO_EVAL_DEADLINE_MS");
 }
 
 TEST(FaultEnv, StreamIsAPureFunctionOfSeedAndIndex) {
@@ -255,6 +231,18 @@ TEST(Recovery, ExpiredDeadlineKillsDcCleanly) {
   EXPECT_LE(r.stats.gmin_rungs, 1u);
   EXPECT_EQ(r.stats.dc_homotopy_escalations, 0u);
   EXPECT_EQ(r.stats.dc_pseudo_transients, 0u);
+}
+
+TEST(Recovery, HugeDeadlineSaturatesInsteadOfWrapping) {
+  // 18446744073710 ms * 1e6 overflows uint64 to ~448 us; the absolute
+  // deadline must saturate (never expire), not wrap to one already past.
+  for (const std::uint64_t ms :
+       {std::uint64_t{18446744073710},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    const util::EvalDeadline guard(ms);
+    util::fault_sleep_ms(2);
+    EXPECT_FALSE(util::deadline_exceeded()) << ms << " ms";
+  }
 }
 
 // --- Transient recovery -----------------------------------------------------

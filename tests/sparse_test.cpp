@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <complex>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "sim/dc.hpp"
 #include "sim/mna.hpp"
 #include "sim/transient.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 #ifndef KATO_SOURCE_DIR
@@ -34,28 +34,6 @@ using namespace kato;
 std::string deck_path(const std::string& name) {
   return std::string(KATO_SOURCE_DIR) + "/circuits/netlists/" + name;
 }
-
-/// Scoped environment override (restores the previous value on destruction).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_ = prev != nullptr;
-    if (had_) saved_ = prev;
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      setenv(name_, saved_.c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
 
 /// Random sparse test system: banded plus a few long-range entries plus a
 /// vsource-style zero-diagonal branch row — the structure partial pivoting
@@ -288,23 +266,25 @@ TEST(FmtDouble, PinnedRenderings) {
 
 class SparseVsDense : public ::testing::TestWithParam<const char*> {};
 
-void compare_metrics(const ckt::SizingCircuit& circuit,
+void compare_metrics(ckt::NetlistCircuit& circuit,
                      const std::vector<double>& x) {
-  std::optional<std::vector<double>> sparse;
-  std::optional<std::vector<double>> dense;
-  {
-    ScopedEnv env("KATO_SPARSE", "1");
-    sparse = circuit.evaluate(x);
+  circuit.set_solver(sim::MnaSolver::sparse);
+  const auto sparse = circuit.evaluate_detailed(x);
+  circuit.set_solver(sim::MnaSolver::dense);
+  const auto dense = circuit.evaluate_detailed(x);
+  circuit.set_solver(sim::MnaSolver::automatic);
+  // The paths agree to 1e-9, so agreement alone cannot show the setter took
+  // effect: AC refactorizations are counted only by the sparse sweep.
+  if (sparse.stats.ac_points > 0) {
+    EXPECT_GT(sparse.stats.ac_refactors, 0u);
+    EXPECT_EQ(dense.stats.ac_refactors, 0u);
   }
-  {
-    ScopedEnv env("KATO_SPARSE", "0");
-    dense = circuit.evaluate(x);
-  }
-  ASSERT_EQ(sparse.has_value(), dense.has_value());
-  if (!sparse) return;
-  ASSERT_EQ(sparse->size(), dense->size());
-  for (std::size_t j = 0; j < sparse->size(); ++j)
-    EXPECT_NEAR((*sparse)[j], (*dense)[j], 1e-9) << "metric " << j;
+  ASSERT_EQ(sparse.metrics.has_value(), dense.metrics.has_value());
+  if (!sparse.metrics) return;
+  ASSERT_EQ(sparse.metrics->size(), dense.metrics->size());
+  for (std::size_t j = 0; j < sparse.metrics->size(); ++j)
+    EXPECT_NEAR((*sparse.metrics)[j], (*dense.metrics)[j], 1e-9)
+        << "metric " << j;
 }
 
 TEST_P(SparseVsDense, Opamp2DcAcMetrics) {
@@ -408,8 +388,8 @@ TEST(EvalBatch, MatchesSerialLoopAtAnyThreadCount) {
   std::vector<std::optional<std::vector<double>>> serial;
   for (const auto& x : cands) serial.push_back(circuit->evaluate(x));
 
-  for (const char* threads : {"1", "4"}) {
-    ScopedEnv env("KATO_THREADS", threads);
+  for (std::size_t threads : {1, 4}) {
+    util::set_thread_count(threads);
     const auto batch = circuit->evaluate_batch(cands);
     ASSERT_EQ(batch.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -423,6 +403,7 @@ TEST(EvalBatch, MatchesSerialLoopAtAnyThreadCount) {
             << " (must be bit-identical)";
     }
   }
+  util::set_thread_count(1);
 }
 
 TEST(EvalBatch, LadderBatchBitIdenticalAcrossThreads) {
@@ -433,10 +414,11 @@ TEST(EvalBatch, LadderBatchBitIdenticalAcrossThreads) {
   for (int i = 0; i < 4; ++i) cands.push_back(rng.uniform_vec(circuit->dim()));
 
   std::vector<std::vector<std::optional<std::vector<double>>>> results;
-  for (const char* threads : {"1", "4"}) {
-    ScopedEnv env("KATO_THREADS", threads);
+  for (std::size_t threads : {1, 4}) {
+    util::set_thread_count(threads);
     results.push_back(circuit->evaluate_batch(cands));
   }
+  util::set_thread_count(1);
   ASSERT_EQ(results[0].size(), results[1].size());
   for (std::size_t i = 0; i < results[0].size(); ++i) {
     ASSERT_EQ(results[0][i].has_value(), results[1][i].has_value());

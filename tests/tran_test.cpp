@@ -15,6 +15,7 @@
 #include "circuits/factory.hpp"
 #include "netlist/netlist_circuit.hpp"
 #include "sim/transient.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace ckt = kato::ckt;
@@ -48,17 +49,6 @@ double rc_discharge_max_error(const sim::TranResult& res, int node,
   return max_err;
 }
 
-/// RAII guard for the KATO_THREADS knob.
-class ThreadsEnv {
- public:
-  explicit ThreadsEnv(const char* value) {
-    if (value == nullptr)
-      unsetenv("KATO_THREADS");
-    else
-      setenv("KATO_THREADS", value, 1);
-  }
-  ~ThreadsEnv() { unsetenv("KATO_THREADS"); }
-};
 
 }  // namespace
 
@@ -576,16 +566,12 @@ TEST(TranBo, SeededFiveIterationRunIsReproducible) {
   cfg.gp_initial.iterations = 15;
   cfg.gp_refit.iterations = 6;
 
-  bo::RunResult r1, r2, r3;
-  {
-    ThreadsEnv env("1");
-    r1 = bo::run_constrained(*c, bo::ConstrainedMethod::kato, cfg, 5);
-    r2 = bo::run_constrained(*c, bo::ConstrainedMethod::kato, cfg, 5);
-  }
-  {
-    ThreadsEnv env("4");
-    r3 = bo::run_constrained(*c, bo::ConstrainedMethod::kato, cfg, 5);
-  }
+  kato::util::set_thread_count(1);
+  const auto r1 = bo::run_constrained(*c, bo::ConstrainedMethod::kato, cfg, 5);
+  const auto r2 = bo::run_constrained(*c, bo::ConstrainedMethod::kato, cfg, 5);
+  kato::util::set_thread_count(4);
+  const auto r3 = bo::run_constrained(*c, bo::ConstrainedMethod::kato, cfg, 5);
+  kato::util::set_thread_count(1);
   ASSERT_EQ(r1.trace.size(), r2.trace.size());
   EXPECT_EQ(r1.trace.size(), cfg.n_init + cfg.batch * cfg.iterations);
   for (std::size_t i = 0; i < r1.trace.size(); ++i) {

@@ -2,14 +2,177 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <set>
+#include <string>
 
+#include "util/env.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/sampling.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace ku = kato::util;
+
+// --- Configuration surface (util/env.hpp) ----------------------------------
+
+// First in the file: nothing in this binary may call thread_count() before
+// it, so the first read is the one that consults KATO_THREADS.
+TEST(ThreadCount, ReadsEnvironmentOnceAtFirstUse) {
+  setenv("KATO_THREADS", "3", 1);
+  EXPECT_EQ(ku::thread_count(), std::min<std::size_t>(3, ku::thread_cap()));
+  setenv("KATO_THREADS", "2", 1);  // too late: already resolved
+  EXPECT_EQ(ku::thread_count(), std::min<std::size_t>(3, ku::thread_cap()));
+  unsetenv("KATO_THREADS");
+  ku::set_thread_count(1);
+  EXPECT_EQ(ku::thread_count(), 1u);
+}
+
+TEST(Env, ParseDecimalIsDigitsOnly) {
+  constexpr auto k_max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(ku::parse_decimal("0"), 0u);
+  EXPECT_EQ(ku::parse_decimal("42"), 42u);
+  EXPECT_EQ(ku::parse_decimal("007"), 7u);
+  EXPECT_EQ(ku::parse_decimal("18446744073709551615"), k_max);
+  for (const char* bad : {"", "18446744073709551616", "+1", "-1", " 1", "1 ",
+                          "1.0", "1e3", "0x10", "abc"})
+    EXPECT_FALSE(ku::parse_decimal(bad).has_value()) << "'" << bad << "'";
+}
+
+/// Value of `name` set to `value` (nullptr = unset) read through `read`.
+template <class Read>
+auto read_with(const char* name, const char* value, Read read) {
+  if (value == nullptr)
+    unsetenv(name);
+  else
+    setenv(name, value, 1);
+  auto got = read();
+  unsetenv(name);
+  return got;
+}
+
+TEST(Env, CountTable) {
+  // Every input KATO_SEEDS (max 1024), KATO_THREADS (max thread_cap(),
+  // here 4) and KATO_EVAL_DEADLINE_MS (max uint64) were pinned with.
+  constexpr auto k_max = std::numeric_limits<std::uint64_t>::max();
+  struct Case {
+    const char* value;
+    std::uint64_t max;
+    std::optional<std::uint64_t> want;
+  };
+  const Case cases[] = {
+      {nullptr, 1024, std::nullopt},  // unset: caller's default
+      {"5", 1024, 5},
+      {"1", 1024, 1},
+      {"1024", 1024, 1024},
+      {"999999999", 1024, 1024},  // clamped, not rejected
+      {"2", 4, 2},
+      {"6", 4, 4},
+      {"1000", 4, 4},
+      {"500", k_max, 500},
+      {"250", k_max, 250},
+      {"18446744073710", k_max, 18446744073710ull},
+      {"", 1024, std::nullopt},
+      {"bogus", 1024, std::nullopt},
+      {"garbage", 4, std::nullopt},
+      {"4abc", 1024, std::nullopt},  // no silent truncation
+      {"6abc", 4, std::nullopt},
+      {"12ms", k_max, std::nullopt},
+      {"1e3", 1024, std::nullopt},
+      {"1.5", k_max, std::nullopt},
+      {" 7", 1024, std::nullopt},  // whitespace anywhere is rejected
+      {"7 ", 1024, std::nullopt},
+      {"2 ", 4, std::nullopt},
+      {" 12", k_max, std::nullopt},
+      {"12 ", k_max, std::nullopt},
+      {"0", 1024, std::nullopt},  // zero is a mistake, not "off"
+      {"0", k_max, std::nullopt},
+      {"-5", 1024, std::nullopt},
+      {"-3", 4, std::nullopt},
+      {"+5", k_max, std::nullopt},
+      {"18446744073709551616", k_max, std::nullopt},  // out of range
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(read_with("KATO_TEST_COUNT", c.value,
+                        [&] { return ku::env_count("KATO_TEST_COUNT", c.max); }),
+              c.want)
+        << "'" << (c.value ? c.value : "<unset>") << "' max " << c.max;
+}
+
+TEST(Env, PathTable) {
+  // Every input the KATO_STATS / KATO_TRACE / KATO_RUN_LOG sinks were
+  // pinned with: edges policed, interior spaces legal, "-" verbatim.
+  struct Case {
+    const char* value;
+    std::optional<std::string> want;
+  };
+  const Case cases[] = {
+      {nullptr, std::nullopt},
+      {"", std::nullopt},
+      {" ", std::nullopt},
+      {" /tmp/t.json", std::nullopt},
+      {"/tmp/t.json ", std::nullopt},
+      {"\t/tmp/t.json", std::nullopt},
+      {"/tmp/t.json\n", std::nullopt},
+      {" stats.json", std::nullopt},
+      {"stats.json ", std::nullopt},
+      {" run.jsonl", std::nullopt},
+      {"run.jsonl\t", std::nullopt},
+      {"-", "-"},
+      {"/tmp/t.json", "/tmp/t.json"},
+      {"stats.json", "stats.json"},
+      {"run.jsonl", "run.jsonl"},
+      {"out dir/t.json", "out dir/t.json"},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(read_with("KATO_TEST_PATH", c.value,
+                        [] { return ku::env_path("KATO_TEST_PATH"); }),
+              c.want)
+        << "'" << (c.value ? c.value : "<unset>") << "'";
+}
+
+TEST(Env, RawIsNullWhenUnset) {
+  unsetenv("KATO_TEST_RAW");
+  EXPECT_EQ(ku::env_raw("KATO_TEST_RAW"), nullptr);
+  setenv("KATO_TEST_RAW", " as is ", 1);
+  EXPECT_STREQ(ku::env_raw("KATO_TEST_RAW"), " as is ");
+  unsetenv("KATO_TEST_RAW");
+}
+
+/// stderr printed by one read of `name` set to `value`.
+template <class Read>
+std::string stderr_of(const char* name, const char* value, Read read) {
+  setenv(name, value, 1);
+  testing::internal::CaptureStderr();
+  read();
+  unsetenv(name);
+  return testing::internal::GetCapturedStderr();
+}
+
+TEST(Env, UnusableValueWarnsOncePerName) {
+  const auto count = [] { return ku::env_count("KATO_TEST_WARN_COUNT", 8); };
+  EXPECT_EQ(stderr_of("KATO_TEST_WARN_COUNT", "4", count), "");
+  EXPECT_EQ(stderr_of("KATO_TEST_WARN_COUNT", " 4", count),
+            "KATO_TEST_WARN_COUNT: ignoring unusable value ' 4' (want a "
+            "positive decimal integer); using the default\n");
+  EXPECT_EQ(stderr_of("KATO_TEST_WARN_COUNT", "x", count), "");
+
+  const auto path = [] { return ku::env_path("KATO_TEST_WARN_PATH"); };
+  EXPECT_EQ(stderr_of("KATO_TEST_WARN_PATH", "", path),
+            "KATO_TEST_WARN_PATH: ignoring unusable value '' (want a path "
+            "without surrounding whitespace); feature disabled\n");
+  EXPECT_EQ(stderr_of("KATO_TEST_WARN_PATH", "a ", path), "");
+
+  // The entry point the KATO_FAULT reader uses, same format and latch.
+  testing::internal::CaptureStderr();
+  ku::env_warn("KATO_TEST_WARN_RAW", "v", "w", "f");
+  ku::env_warn("KATO_TEST_WARN_RAW", "v2", "w", "f");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "KATO_TEST_WARN_RAW: ignoring unusable value 'v' (want w); f\n");
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   ku::Rng a(42);
