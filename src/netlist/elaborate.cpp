@@ -89,6 +89,8 @@ class Elaborator {
   }
 
   Elaboration run() {
+    for (const auto& name : deck_.node_order.names)
+      resolve_node(name, /*prefix=*/"", /*ports=*/{}, deck_.node_order.loc);
     flatten(deck_.cards, /*prefix=*/"",
             /*ports=*/{}, /*locals=*/nullptr, /*stack=*/{});
     structural_lint();

@@ -4,9 +4,10 @@
 // Hierarchy is expanded depth-first: `X` instances map their connection
 // nodes onto the subckt ports and prefix internal nodes with the instance
 // path ("x1.mid"), so flat node names stay unique and diagnosable.  Node
-// indices are assigned in order of first appearance, which makes the MNA
+// indices are assigned in order of first appearance, after the names a
+// `.nodes` card lists (numbered first, in its order), which makes the MNA
 // system — and therefore the simulated metrics — a deterministic function
-// of card order alone.
+// of the deck text alone.
 //
 // Elaboration is cheap by design (expression walks plus vector pushes, no
 // allocation-heavy passes) because the sizing loop re-elaborates the deck

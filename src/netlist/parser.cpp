@@ -415,6 +415,20 @@ class Parser {
     if (d == ".title") {
       deck_.title = s_.next().raw;
       s_.expect_eol(".title");
+    } else if (d == ".nodes") {
+      if (!deck_.node_order.names.empty())
+        throw NetlistError(head.loc, "duplicate .nodes directive");
+      deck_.node_order.loc = head.loc;
+      std::unordered_set<std::string> seen;
+      do {
+        const Token& t = s_.peek();
+        const std::string name = take_name_arg(s_, "a node name");
+        if (name == "0" || name == "gnd")
+          throw NetlistError(t.loc, "ground cannot be listed in .nodes");
+        check_unique(seen, name, "node", t.loc);
+        deck_.node_order.names.push_back(name);
+      } while (!s_.at_line_end());
+      s_.expect_eol(".nodes");
     } else if (d == ".param") {
       ParamDef def;
       def.loc = head.loc;
@@ -606,7 +620,7 @@ class Parser {
     } else {
       throw NetlistError(head.loc,
                          "unknown directive '" + head.raw +
-                             "' (supported: .title .param .var .model "
+                             "' (supported: .title .nodes .param .var .model "
                              ".subckt/.ends .ac .tran .ic .temp .spec "
                              ".corner .mc .expert .end)");
     }

@@ -16,6 +16,7 @@
 //
 // Directives:
 //   .title <word>
+//   .nodes <node> ...                         top-level node numbering order
 //   .param <name> = <expr>                    constant (params/builtins only)
 //   .var <name> <lo> <hi> [log|lin]           sizing variable -> DesignSpace
 //   .model <name> nmos|pmos [key=<v> ...]     MOSFET model (base = PDK card)
@@ -215,9 +216,18 @@ struct Subckt {
   SourceLoc loc;
 };
 
+/// The `.nodes` card: top-level node names registered, in this order,
+/// before any device card, so the deck fixes its node numbering
+/// independently of card order.
+struct NodeOrderDef {
+  std::vector<std::string> names;  ///< lowercased
+  SourceLoc loc;
+};
+
 struct Deck {
   std::string file;
   std::string title;  ///< .title, else the file stem
+  NodeOrderDef node_order;
   std::vector<ParamDef> params;
   std::vector<VarDef> vars;
   std::vector<ModelDef> models;

@@ -337,7 +337,8 @@ TEST(NetlistDiag, UnknownDirectiveListsSupportedSet) {
       "vs in 0 1.0\n"
       ".noise out\n",
       2,
-      "unknown directive '.noise' (supported: .title .param .var .model "
+      "unknown directive '.noise' (supported: .title .nodes .param .var "
+      ".model "
       ".subckt/.ends .ac .tran .ic .temp .spec .corner .mc .expert .end)");
 }
 
@@ -386,6 +387,55 @@ TEST(NetlistDiag, BadVarRangeCarriesLine) {
       "r2 out 0 1k\n"
       ".spec objective V V = vdc(out)\n",
       2, "need lo < hi");
+}
+
+// ---------------------------------------------------------------------------
+// Node order (.nodes).
+
+TEST(NetlistNodes, ListedNodesAreNumberedFirstInListOrder) {
+  const auto c = load(
+      ".nodes out in\n"
+      "vs in 0 1.0\n"
+      "r1 in mid 1k\n"
+      "r2 mid out 1k\n"
+      ".var u 1 2 lin\n"
+      "r3 out 0 {u}\n"
+      ".spec objective V V = vdc(out)\n");
+  const auto elab = c.elaborate({0.5});
+  EXPECT_EQ(elab.nodes.at("out"), 1);
+  EXPECT_EQ(elab.nodes.at("in"), 2);
+  EXPECT_EQ(elab.nodes.at("mid"), 3);  // unlisted: first appearance
+}
+
+TEST(NetlistDiag, NodesNamingUnusedNodeIsDangling) {
+  expect_diag(
+      "vs in 0 1.0\n"
+      ".nodes in spare\n"
+      ".var u 1 2 lin\n"
+      "r1 in 0 {u}\n"
+      ".spec objective V V = vdc(in)\n",
+      2, "dangling node 'spare'");
+}
+
+TEST(NetlistDiag, NodesNamingNodeTwice) {
+  expect_diag(
+      ".nodes in out in\n"
+      "vs in 0 1.0\n"
+      ".var u 1 2 lin\n"
+      "r1 in out {u}\n"
+      "r2 out 0 1k\n"
+      ".spec objective V V = vdc(out)\n",
+      1, "duplicate node 'in'");
+}
+
+TEST(NetlistDiag, NodesNamingGround) {
+  expect_diag(
+      ".nodes in 0\n"
+      "vs in 0 1.0\n"
+      ".var u 1 2 lin\n"
+      "r1 in 0 {u}\n"
+      ".spec objective V V = vdc(in)\n",
+      1, "ground cannot be listed in .nodes");
 }
 
 // ---------------------------------------------------------------------------

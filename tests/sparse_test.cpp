@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "circuits/factory.hpp"
 #include "circuits/pdk.hpp"
+#include "circuits/sizing_problem.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/sparse.hpp"
 #include "netlist/netlist_circuit.hpp"
@@ -428,21 +428,47 @@ TEST(EvalBatch, LadderBatchBitIdenticalAcrossThreads) {
   }
 }
 
+/// Minimal hand-written circuit: records the order evaluate() sees its
+/// points in and fails on points whose first coordinate is >= 0.5.
+class CallLogCircuit final : public ckt::SizingCircuit {
+ public:
+  CallLogCircuit() { space_.add("x", 1.0, 2.0, false); }
+  std::string name() const override { return "call-log"; }
+  const ckt::DesignSpace& space() const override { return space_; }
+  std::string objective_name() const override { return "x"; }
+  const std::vector<ckt::MetricSpec>& constraints() const override {
+    return specs_;
+  }
+  std::optional<std::vector<double>> evaluate(
+      const std::vector<double>& unit_x) const override {
+    calls_.push_back(unit_x[0]);
+    if (unit_x[0] >= 0.5) return std::nullopt;
+    return std::vector<double>{unit_x[0], static_cast<double>(calls_.size())};
+  }
+  std::vector<double> expert_design() const override { return {0.25}; }
+
+  mutable std::vector<double> calls_;
+
+ private:
+  ckt::DesignSpace space_;
+  std::vector<ckt::MetricSpec> specs_;
+};
+
 TEST(EvalBatch, DefaultImplementationIsSerialLoop) {
-  // Hand-written circuits get the base-class batch: exactly the serial loop.
-  const auto circuit = ckt::make_circuit("stage2", "180nm");
-  util::Rng rng(93);
-  std::vector<std::vector<double>> cands;
-  for (int i = 0; i < 3; ++i) cands.push_back(rng.uniform_vec(circuit->dim()));
-  const auto batch = circuit->evaluate_batch(cands);
+  // Circuits that do not override evaluate_batch (custom SizingCircuit
+  // subclasses) get the base-class batch: exactly the serial loop, one
+  // evaluate() per point in input order, failures kept in place.
+  const CallLogCircuit circuit;
+  const std::vector<std::vector<double>> cands{{0.1}, {0.7}, {0.3}, {0.2}};
+  const auto batch = circuit.evaluate_batch(cands);
   ASSERT_EQ(batch.size(), cands.size());
+  ASSERT_EQ(circuit.calls_.size(), cands.size());
   for (std::size_t i = 0; i < cands.size(); ++i) {
-    const auto one = circuit->evaluate(cands[i]);
-    ASSERT_EQ(batch[i].has_value(), one.has_value());
-    if (one) {
-      for (std::size_t j = 0; j < one->size(); ++j)
-        EXPECT_EQ((*batch[i])[j], (*one)[j]);
-    }
+    EXPECT_EQ(circuit.calls_[i], cands[i][0]) << "call " << i;
+    ASSERT_EQ(batch[i].has_value(), cands[i][0] < 0.5) << "cand " << i;
+    if (!batch[i]) continue;
+    EXPECT_EQ((*batch[i])[0], cands[i][0]);
+    EXPECT_EQ((*batch[i])[1], static_cast<double>(i + 1));  // call order
   }
 }
 
