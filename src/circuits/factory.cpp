@@ -46,7 +46,8 @@ std::unique_ptr<SizingCircuit> make_circuit(const std::string& kind,
   const Pdk& pdk = pdk_by_name(node);
   if (kind == "opamp2")
     return NetlistCircuit::from_file(shipped_deck("opamp2.cir"), pdk);
-  if (kind == "opamp3") return std::make_unique<ThreeStageOpAmp>(pdk);
+  if (kind == "opamp3")
+    return NetlistCircuit::from_file(shipped_deck("opamp3.cir"), pdk);
   if (kind == "bandgap") return std::make_unique<BandgapReference>(pdk);
   if (kind == "stage2")
     return NetlistCircuit::from_file(shipped_deck("stage2.cir"), pdk);

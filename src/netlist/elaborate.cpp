@@ -93,7 +93,7 @@ class Elaborator {
       resolve_node(name, /*prefix=*/"", /*ports=*/{}, deck_.node_order.loc);
     flatten(deck_.cards, /*prefix=*/"",
             /*ports=*/{}, /*locals=*/nullptr, /*stack=*/{});
-    structural_lint();
+    structural_lint({deck_.file, 0, 0});
 
     if (deck_.ac.present) {
       const double per_decade = eval_expr(*deck_.ac.per_decade, bindings_);
@@ -125,16 +125,29 @@ class Elaborator {
         throw NetlistError(ic.loc, "unknown node '" + ic.node + "' in .ic");
       out_.tran.ics.emplace_back(it->second, eval_expr(*ic.value, bindings_));
     }
-    if (deck_.temperature != nullptr) {
-      out_.temperature = eval_expr(*deck_.temperature, bindings_);
-      if (!(out_.temperature > 0.0))
-        throw NetlistError(deck_.temperature->loc,
-                           ".temp must be a positive Kelvin temperature");
-    }
+    resolve_temperature();
+    return std::move(out_);
+  }
+
+  /// The `.bias` subckt alone, its nodes numbered like top-level nodes.
+  Elaboration run_bias() {
+    const Subckt& bias = deck_.subckts.at(deck_.bias.subckt);
+    flatten(bias.cards, /*prefix=*/"", /*ports=*/{}, /*locals=*/nullptr,
+            /*stack=*/{bias.name});
+    structural_lint(bias.loc);
+    resolve_temperature();
     return std::move(out_);
   }
 
  private:
+  void resolve_temperature() {
+    if (deck_.temperature == nullptr) return;
+    out_.temperature = eval_expr(*deck_.temperature, bindings_);
+    if (!(out_.temperature > 0.0))
+      throw NetlistError(deck_.temperature->loc,
+                         ".temp must be a positive Kelvin temperature");
+  }
+
   /// Build the sim::Waveform for a V card (Kind::none when quiet).
   sim::Waveform build_waveform(const DeviceCard& card, const Scope& env) {
     sim::Waveform w;
@@ -325,9 +338,10 @@ class Elaborator {
     }
   }
 
-  void structural_lint() const {
+  /// `where` anchors the missing-ground diagnostic.
+  void structural_lint(const SourceLoc& where) const {
     if (!grounded_)
-      throw NetlistError({deck_.file, 0, 0},
+      throw NetlistError(where,
                          "netlist has no ground connection (node '0' or 'gnd')");
     for (std::size_t node = 1; node < touches_.size(); ++node) {
       if (touches_[node] < 2)
@@ -353,6 +367,12 @@ class Elaborator {
 Elaboration elaborate(const Deck& deck, const ckt::Pdk& pdk, const Scope& bindings) {
   KATO_OBS_SPAN("elaborate");
   return Elaborator(deck, pdk, bindings).run();
+}
+
+Elaboration elaborate_bias(const Deck& deck, const ckt::Pdk& pdk,
+                           const Scope& bindings) {
+  KATO_OBS_SPAN("elaborate");
+  return Elaborator(deck, pdk, bindings).run_bias();
 }
 
 void apply_mos_mismatch(sim::Circuit& ckt, std::size_t sample,

@@ -69,4 +69,11 @@ void apply_mos_mismatch(sim::Circuit& ckt, std::size_t sample,
 /// structural or expression error.
 Elaboration elaborate(const Deck& deck, const ckt::Pdk& pdk, const Scope& bindings);
 
+/// Flatten the deck's `.bias` subckt alone (the deck must have a .bias
+/// card): its nodes are numbered at first appearance like top-level nodes,
+/// and the result carries no AC grid or transient setup.  Same lint and
+/// errors as elaborate().
+Elaboration elaborate_bias(const Deck& deck, const ckt::Pdk& pdk,
+                           const Scope& bindings);
+
 }  // namespace kato::net

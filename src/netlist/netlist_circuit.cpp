@@ -376,9 +376,35 @@ NetlistCircuit::NetlistCircuit(net::Deck deck, const Pdk& pdk)
   // Trial elaboration at the expert/mid-box point: surfaces structural
   // problems (dangling nodes, cyclic subckts, unknown models) and
   // expression errors at load time.
-  const net::Elaboration trial = elaborate(expert_);
   const auto trial_vars = bind_vars(expert_);
-  const net::Scope trial_scope{&trial_vars, &const_scope};
+  std::map<std::string, double> trial_bias;  // bias voltages read 0 here
+  const net::Scope trial_bias_scope{&trial_bias, &const_scope};
+  const net::Scope trial_scope{
+      &trial_vars, deck_.bias.present ? &trial_bias_scope : &const_scope};
+  if (deck_.bias.present) {
+    if (deck_.mc.present)
+      throw net::NetlistError(deck_.bias.loc,
+                              ".bias cannot be combined with .mc (the "
+                              "mismatch draws would skip the bias circuit)");
+    const net::Elaboration bias =
+        net::elaborate_bias(deck_, pdk_, {&trial_vars, &const_scope});
+    for (const auto& b : deck_.bias.binds) {
+      if (consts_.count(b.name) != 0 ||
+          std::any_of(deck_.vars.begin(), deck_.vars.end(),
+                      [&](const net::VarDef& v) { return v.name == b.name; }))
+        throw net::NetlistError(b.loc, ".bias name '" + b.name +
+                                           "' collides with a parameter or "
+                                           "sizing variable");
+      const auto it = bias.nodes.find(b.node);
+      if (it == bias.nodes.end())
+        throw net::NetlistError(b.loc, "unknown node '" + b.node +
+                                           "' in .bias (not a node of subckt '" +
+                                           deck_.bias.subckt + "')");
+      bias_nodes_.emplace_back(b.name, it->second);
+      trial_bias.emplace(b.name, 0.0);
+    }
+  }
+  const net::Elaboration trial = elaborate(expert_);
   MeasureNeeds needs;
   validate_measure(*objective_.measure, trial, trial_scope, needs);
   for (const auto& m : spec_measures_)
@@ -413,7 +439,10 @@ net::Elaboration NetlistCircuit::elaborate(
     const std::vector<double>& unit_x) const {
   const auto vars = bind_vars(unit_x);
   const net::Scope const_scope{&consts_, nullptr};
-  const net::Scope env{&vars, &const_scope};
+  std::map<std::string, double> bias;
+  for (const auto& [name, node] : bias_nodes_) bias.emplace(name, 0.0);
+  const net::Scope bias_scope{&bias, &const_scope};
+  const net::Scope env{&vars, deck_.bias.present ? &bias_scope : &const_scope};
   return net::elaborate(deck_, pdk_, env);
 }
 
@@ -570,16 +599,38 @@ NetlistCircuit::EvalOutcome NetlistCircuit::evaluate_single(
     const auto vars = bind_vars(unit_x);
     const CornerSetup& cs = corners_[corner];
     const net::Scope const_scope{&cs.consts, nullptr};
-    const net::Scope env{&vars, &const_scope};
+    sim::DcOptions dc_opts;
+    dc_opts.device_eval = device_eval_;
+    dc_opts.solver = solver_;
+
+    // .bias: solve the bias circuit first and bind the named node voltages
+    // as parameters of the main elaboration.
+    std::map<std::string, double> bias;
+    const net::Scope bias_scope{&bias, &const_scope};
+    if (deck_.bias.present) {
+      const net::Elaboration bias_elab =
+          net::elaborate_bias(deck_, pdk_, {&vars, &const_scope});
+      dc_opts.temp = cs.temp.value_or(bias_elab.temperature);
+      const auto bias_op = sim::solve_dc(bias_elab.circuit, dc_opts);
+      out.stats.merge(bias_op.stats);
+      if (!bias_op.converged) {
+        obs::bo_count(obs::BoCounter::fail_dc);
+        out.failure = "bias operating point failed: " +
+                      (bias_op.reason.empty() ? "did not converge"
+                                              : bias_op.reason);
+        return out;
+      }
+      for (const auto& [name, node] : bias_nodes_)
+        bias.emplace(name, bias_op.v(node));
+    }
+    const net::Scope env{&vars,
+                         deck_.bias.present ? &bias_scope : &const_scope};
+
     net::Elaboration elab = net::elaborate(deck_, pdk_, env);
     if (deck_.mc.present)
       net::apply_mos_mismatch(elab.circuit, sample, vth_sigma_, beta_sigma_);
     const double temperature = cs.temp.value_or(elab.temperature);
-
-    sim::DcOptions dc_opts;
     dc_opts.temp = temperature;
-    dc_opts.device_eval = device_eval_;
-    dc_opts.solver = solver_;
     const auto op = sim::solve_dc(elab.circuit, dc_opts);
     out.stats.merge(op.stats);
     if (!op.converged) {

@@ -138,6 +138,7 @@ class NetlistCircuit final : public SizingCircuit {
   void set_solver(sim::MnaSolver solver) { solver_ = solver; }
 
   /// Elaborate at a unit-box point without simulating (benchmarks, tests).
+  /// No bias solve runs: `.bias` parameters read 0 V.
   net::Elaboration elaborate(const std::vector<double>& unit_x) const;
 
  private:
@@ -170,6 +171,8 @@ class NetlistCircuit final : public SizingCircuit {
   std::vector<MetricSpec> specs_;            ///< metrics[1..]
   std::vector<net::ExprPtr> spec_measures_;  ///< parallel to specs_
   std::vector<double> expert_;
+  /// .bias bindings: parameter name -> node index in the bias circuit.
+  std::vector<std::pair<std::string, int>> bias_nodes_;
   bool needs_ac_ = false;
   bool needs_tran_ = false;
 

@@ -262,12 +262,13 @@ class Parser {
       if (t.kind != TokKind::ident)
         throw NetlistError(t.loc, "expected a card or directive, got '" + t.raw + "'");
       if (t.text[0] == '.') {
-        if (t.text == ".end") return deck_;
+        if (t.text == ".end") break;
         parse_directive();
       } else {
         deck_.cards.push_back(parse_device(top_names_));
       }
     }
+    check_bias();
     return deck_;
   }
 
@@ -278,6 +279,25 @@ class Parser {
     const std::size_t dot = stem.find_last_of('.');
     if (dot != std::string::npos && dot > 0) stem = stem.substr(0, dot);
     return stem;
+  }
+
+  /// Only the `.bias` subckt may be portless, and it must be portless: its
+  /// nodes are numbered like top-level nodes, with nothing to connect.
+  void check_bias() const {
+    for (const auto& [name, sub] : deck_.subckts)
+      if (sub.ports.empty() && !(deck_.bias.present && deck_.bias.subckt == name))
+        throw NetlistError(sub.loc, "subckt '" + name +
+                                        "' has no ports (only a .bias subckt "
+                                        "may be portless)");
+    if (!deck_.bias.present) return;
+    const auto it = deck_.subckts.find(deck_.bias.subckt);
+    if (it == deck_.subckts.end())
+      throw NetlistError(deck_.bias.loc,
+                         "unknown subckt '" + deck_.bias.subckt + "' in .bias");
+    if (!it->second.ports.empty())
+      throw NetlistError(deck_.bias.loc,
+                         ".bias subckt '" + deck_.bias.subckt +
+                             "' must have no ports");
   }
 
   void check_unique(std::unordered_set<std::string>& seen, const std::string& name,
@@ -489,8 +509,6 @@ class Parser {
       if (deck_.subckts.count(sub.name) != 0)
         throw NetlistError(sub.loc, "duplicate subckt '" + sub.name + "'");
       while (at_plain_arg(s_)) sub.ports.push_back(name_text(s_.next()));
-      if (sub.ports.empty())
-        throw NetlistError(sub.loc, "subckt '" + sub.name + "' has no ports");
       sub.defaults = parse_kv_pairs(s_);
       s_.expect_eol(".subckt");
       std::unordered_set<std::string> local_names;
@@ -510,6 +528,29 @@ class Parser {
         sub.cards.push_back(parse_device(local_names));
       }
       deck_.subckts.emplace(sub.name, std::move(sub));
+    } else if (d == ".bias") {
+      if (deck_.bias.present)
+        throw NetlistError(head.loc, "duplicate .bias directive");
+      deck_.bias.present = true;
+      deck_.bias.loc = head.loc;
+      deck_.bias.subckt = take_name_arg(s_, "a subckt name");
+      std::unordered_set<std::string> names;
+      do {
+        BiasBind bind;
+        const Token& key = s_.peek();
+        bind.loc = key.loc;
+        if (key.kind != TokKind::ident || !s_.peek(1).is_punct("="))
+          throw NetlistError(key.loc, "expected <name>=<node> in .bias, got '" +
+                                          (key.raw.empty() ? "end of line"
+                                                           : key.raw) +
+                                          "'");
+        bind.name = s_.next().text;
+        s_.next();  // '='
+        check_unique(names, bind.name, ".bias name", bind.loc);
+        bind.node = take_name_arg(s_, "a node name");
+        deck_.bias.binds.push_back(std::move(bind));
+      } while (!s_.at_line_end());
+      s_.expect_eol(".bias");
     } else if (d == ".ends") {
       throw NetlistError(head.loc, ".ends without matching .subckt");
     } else if (d == ".ac") {

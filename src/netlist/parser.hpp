@@ -22,6 +22,9 @@
 //   .model <name> nmos|pmos [key=<v> ...]     MOSFET model (base = PDK card)
 //   .model <name> d [is|n|area|xti|eg=<v>]    junction-diode model
 //   .subckt <name> <ports...> [p=<default> ...]  ...  .ends
+//   .bias <subckt> <name>=<node> ...          DC pre-solve of a portless
+//                                             subckt; binds its node
+//                                             voltages as parameters
 //   .ac dec <pts/decade> <f_lo> <f_hi>
 //   .tran <tstep> <tstop> [fixed] [be]
 //   .ic v(<node>)=<value> ...
@@ -224,6 +227,23 @@ struct NodeOrderDef {
   SourceLoc loc;
 };
 
+/// One `name=node` binding of the `.bias` card.
+struct BiasBind {
+  std::string name;  ///< parameter name, lowercased
+  std::string node;  ///< node of the bias circuit, lowercased
+  SourceLoc loc;
+};
+
+/// The `.bias` card: a portless subckt solved at DC before the main
+/// circuit; each binding exposes one of its node voltages as a parameter
+/// of the main elaboration (validated by NetlistCircuit at load time).
+struct BiasDef {
+  bool present = false;
+  std::string subckt;  ///< lowercased
+  std::vector<BiasBind> binds;
+  SourceLoc loc;
+};
+
 struct Deck {
   std::string file;
   std::string title;  ///< .title, else the file stem
@@ -238,6 +258,7 @@ struct Deck {
   AcDef ac;
   TranDef tran;
   std::vector<IcDef> ics;
+  BiasDef bias;
   ExprPtr temperature;  ///< .temp [K]; null -> 300
   std::vector<DeviceCard> cards;
   std::map<std::string, Subckt> subckts;

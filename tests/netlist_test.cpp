@@ -439,6 +439,119 @@ TEST(NetlistDiag, NodesNamingGround) {
 }
 
 // ---------------------------------------------------------------------------
+// Bias pre-solve (.bias).
+
+namespace {
+
+/// Bias divider vdd -> mid -> 0; the main circuit copies v(mid) onto 'out'
+/// through a source whose value is the bound parameter.
+const char* const k_bias_deck =
+    ".subckt divider\n"         // line 1
+    "vs top 0 {vdd}\n"
+    "r1 top mid {ru}\n"
+    "r2 mid 0 1k\n"
+    ".ends\n"                   // line 5
+    ".bias divider vm=mid\n"
+    ".var ru 1k 3k lin\n"
+    "vcopy out 0 {vm}\n"
+    "rl out 0 1k\n"
+    ".spec objective V V = vdc(out)\n";
+
+}  // namespace
+
+TEST(NetlistBias, BoundNodeVoltageFeedsMainElaboration) {
+  const auto c = load(k_bias_deck);
+  for (double u : {0.0, 0.5, 1.0}) {
+    const auto out = c.evaluate_detailed({u});
+    ASSERT_TRUE(out.metrics) << out.failure;
+    const double ru = 1e3 + 2e3 * u;
+    EXPECT_NEAR((*out.metrics)[0], ckt::pdk_180nm().vdd * 1e3 / (ru + 1e3),
+                1e-9);
+    // Both DC solves are counted: the bias circuit's and the main one's.
+    EXPECT_GE(out.stats.newton_solves, 2u);
+  }
+  // Elaborating without simulating binds the bias voltages to 0.
+  const auto elab = c.elaborate({0.5});
+  EXPECT_EQ(elab.circuit.vsources()[0].dc, 0.0);
+}
+
+TEST(NetlistBias, FailedBiasSolveNamesTheBiasPass) {
+  // Two ideal sources in parallel: the bias circuit has no operating point.
+  const auto c = load(
+      ".subckt clash\n"
+      "va a 0 1\n"
+      "vb a 0 2\n"
+      "r1 a 0 1k\n"
+      ".ends\n"
+      ".bias clash vm=a\n"
+      ".var ru 1k 3k lin\n"
+      "vcopy out 0 {vm}\n"
+      "rl out 0 {ru}\n"
+      ".spec objective V V = vdc(out)\n");
+  const auto out = c.evaluate_detailed({0.5});
+  EXPECT_FALSE(out.metrics);
+  EXPECT_EQ(out.failure.rfind("bias operating point failed: ", 0), 0u)
+      << out.failure;
+}
+
+TEST(NetlistDiag, BiasNamingMissingSubckt) {
+  expect_diag(
+      "vs in 0 1.0\n"
+      ".bias nope vm=in\n"
+      ".var u 1 2 lin\n"
+      "r1 in 0 {u}\n"
+      ".spec objective V V = vdc(in)\n",
+      2, "unknown subckt 'nope' in .bias");
+}
+
+TEST(NetlistDiag, BiasNamingSubcktWithPorts) {
+  expect_diag(
+      ".subckt load a\n"
+      "r1 a 0 1k\n"
+      ".ends\n"
+      ".bias load vm=a\n"
+      "vs in 0 1.0\n"
+      ".var u 1 2 lin\n"
+      "r1 in 0 {u}\n"
+      ".spec objective V V = vdc(in)\n",
+      4, ".bias subckt 'load' must have no ports");
+}
+
+TEST(NetlistDiag, PortlessSubcktOutsideBias) {
+  expect_diag(
+      "vs in 0 1.0\n"
+      ".subckt lonely\n"
+      "r1 a 0 1k\n"
+      ".ends\n"
+      ".var u 1 2 lin\n"
+      "r1 in 0 {u}\n"
+      ".spec objective V V = vdc(in)\n",
+      2, "subckt 'lonely' has no ports");
+}
+
+TEST(NetlistDiag, BiasNamingUnknownNode) {
+  std::string deck = k_bias_deck;
+  deck.replace(deck.find("vm=mid"), 6, "vm=zz");
+  expect_diag(deck, 6, "unknown node 'zz' in .bias");
+}
+
+TEST(NetlistDiag, BiasNameCollidesWithParam) {
+  expect_diag(std::string(".param vm = 1\n") + k_bias_deck, 7,
+              ".bias name 'vm' collides");
+}
+
+TEST(NetlistDiag, BiasNameCollidesWithVar) {
+  std::string deck = k_bias_deck;
+  deck.replace(deck.find("vm=mid"), 6, "ru=mid");
+  expect_diag(deck, 6, ".bias name 'ru' collides");
+}
+
+TEST(NetlistDiag, BiasWithMonteCarlo) {
+  expect_diag(std::string(k_bias_deck) + ".mc 4 vth_sigma=0.01\n", 6,
+              ".bias cannot be combined with .mc");
+}
+
+// ---------------------------------------------------------------------------
 // Factory integration.
 
 TEST(NetlistFactory, LoadsDeckAndListsKindsOnError) {
