@@ -48,7 +48,8 @@ std::unique_ptr<SizingCircuit> make_circuit(const std::string& kind,
     return NetlistCircuit::from_file(shipped_deck("opamp2.cir"), pdk);
   if (kind == "opamp3")
     return NetlistCircuit::from_file(shipped_deck("opamp3.cir"), pdk);
-  if (kind == "bandgap") return std::make_unique<BandgapReference>(pdk);
+  if (kind == "bandgap")
+    return NetlistCircuit::from_file(shipped_deck("bandgap.cir"), pdk);
   if (kind == "stage2")
     return NetlistCircuit::from_file(shipped_deck("stage2.cir"), pdk);
   if (kind == "buffer")

@@ -105,6 +105,12 @@ class Elaborator {
       out_.freqs =
           sim::log_freq_grid(f_lo, f_hi, static_cast<int>(per_decade));
     }
+    for (const auto& t : deck_.tsweep.temps) {
+      out_.tsweep.push_back(eval_expr(*t, bindings_));
+      if (!(out_.tsweep.back() > 0.0))
+        throw NetlistError(t->loc, ".tsweep temperatures must be positive "
+                                   "Kelvin values");
+    }
     if (deck_.tran.present) {
       out_.tran.present = true;
       out_.tran.tstep = eval_expr(*deck_.tran.tstep, bindings_);

@@ -44,6 +44,7 @@ struct Elaboration {
   std::map<std::string, int> nodes;             ///< flat node name -> index
   std::map<std::string, std::size_t> vsources;  ///< flat card name -> index
   std::vector<double> freqs;  ///< AC grid from .ac; empty when absent
+  std::vector<double> tsweep;  ///< .tsweep temperatures [K]; empty when absent
   TranSetup tran;             ///< transient setup; present iff the deck has .tran
   double temperature = 300.0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <exception>
 #include <set>
 #include <stdexcept>
@@ -24,31 +25,42 @@ struct SimFailure : std::exception {
   std::string what_;
 };
 
+/// The analysis a measure reads beyond the nominal DC operating point.
+enum class Analysis { dc, ac, tran, tsweep };
+
+/// Compact rendering of a value for failure reasons ("%g").
+std::string fmt_g(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
 struct MeasureInfo {
   std::size_t n_args;
-  bool needs_ac;
-  bool needs_tran;
+  Analysis analysis;
   bool vsource_arg;     ///< arg 0 names a voltage source instead of a node
   bool second_node_arg; ///< arg 1 also names a node (prop_delay)
 };
 
 const std::map<std::string, MeasureInfo>& measure_table() {
+  using A = Analysis;
   static const std::map<std::string, MeasureInfo> table = {
-      {"isupply", {1, false, false, true, false}},
-      {"ivsrc", {1, false, false, true, false}},
-      {"vdc", {1, false, false, false, false}},
-      {"gain_db", {1, true, false, false, false}},
-      {"ugf", {1, true, false, false, false}},
-      {"pm", {1, true, false, false, false}},
-      {"gain_db_at", {2, true, false, false, false}},
-      {"slew_rate", {1, false, true, false, false}},
-      {"settling_time", {2, false, true, false, false}},
-      {"overshoot", {1, false, true, false, false}},
-      {"prop_delay", {2, false, true, false, true}},
-      {"avg_power", {1, false, true, true, false}},
-      {"value_at", {2, false, true, false, false}},
-      {"vmax", {1, false, true, false, false}},
-      {"vmin", {1, false, true, false, false}},
+      {"isupply", {1, A::dc, true, false}},
+      {"ivsrc", {1, A::dc, true, false}},
+      {"vdc", {1, A::dc, false, false}},
+      {"gain_db", {1, A::ac, false, false}},
+      {"ugf", {1, A::ac, false, false}},
+      {"pm", {1, A::ac, false, false}},
+      {"gain_db_at", {2, A::ac, false, false}},
+      {"tc_ppm", {1, A::tsweep, false, false}},
+      {"slew_rate", {1, A::tran, false, false}},
+      {"settling_time", {2, A::tran, false, false}},
+      {"overshoot", {1, A::tran, false, false}},
+      {"prop_delay", {2, A::tran, false, true}},
+      {"avg_power", {1, A::tran, true, false}},
+      {"value_at", {2, A::tran, false, false}},
+      {"vmax", {1, A::tran, false, false}},
+      {"vmin", {1, A::tran, false, false}},
   };
   return table;
 }
@@ -102,13 +114,25 @@ typename Map::mapped_type resolve_target(const net::Expr& call, const Map& map,
 }
 
 /// Analyses a deck's measure expressions require, with the call site that
-/// first demanded each (anchor for the missing-.ac / missing-.tran
+/// first demanded each (anchor for the missing-.ac / .tran / .tsweep
 /// diagnostics).
 struct MeasureNeeds {
   bool ac = false;
   net::SourceLoc ac_loc;
   bool tran = false;
   net::SourceLoc tran_loc;
+  bool tsweep = false;
+  net::SourceLoc tsweep_loc;
+
+  void need(Analysis a, const net::SourceLoc& loc) {
+    auto mark = [&](bool& flag, net::SourceLoc& at) {
+      if (!flag) at = loc;
+      flag = true;
+    };
+    if (a == Analysis::ac) mark(ac, ac_loc);
+    if (a == Analysis::tran) mark(tran, tran_loc);
+    if (a == Analysis::tsweep) mark(tsweep, tsweep_loc);
+  }
 };
 
 /// Compile-time-style validation of a measure expression: known functions,
@@ -136,14 +160,7 @@ void validate_measure(const net::Expr& e, const net::Elaboration& elab,
           resolve_target(e, elab.vsources, "voltage source");
         else
           resolve_target(e, elab.nodes, "node");
-        if (info->needs_ac && !needs.ac) {
-          needs.ac = true;
-          needs.ac_loc = e.loc;
-        }
-        if (info->needs_tran && !needs.tran) {
-          needs.tran = true;
-          needs.tran_loc = e.loc;
-        }
+        needs.need(info->analysis, e.loc);
         if (info->second_node_arg) {
           resolve_target(e, elab.nodes, "node", 1);
           return;  // both arguments are names, nothing left to walk
@@ -164,12 +181,14 @@ void validate_measure(const net::Expr& e, const net::Elaboration& elab,
 }
 
 /// Measure-function evaluation against one simulated candidate.
+/// `tsweep` holds the node voltages of each .tsweep point, in sweep order.
 class SimMeasure final : public net::MeasureHook {
  public:
   SimMeasure(const net::Elaboration& elab, const sim::DcResult& op,
              const sim::AcSweep* sweep, const sim::TranResult* tran,
-             const net::Scope& scope)
-      : elab_(elab), op_(op), sweep_(sweep), tran_(tran), scope_(scope) {}
+             const std::vector<la::Vector>* tsweep, const net::Scope& scope)
+      : elab_(elab), op_(op), sweep_(sweep), tran_(tran), tsweep_(tsweep),
+        scope_(scope) {}
 
   double call(const net::Expr& e) const override {
     if (e.name == "isupply") {
@@ -198,6 +217,19 @@ class SimMeasure final : public net::MeasureHook {
     if (e.name == "vdc")
       return op_.v(resolve_target(e, elab_.nodes, "node"));
     const int node = resolve_target(e, elab_.nodes, "node");
+    if (e.name == "tc_ppm") {
+      // Spread of the node voltage over the nominal point and every sweep
+      // point, relative to the nominal value and the swept span.
+      const double v_nom = op_.v(node);
+      double v_min = v_nom;
+      double v_max = v_nom;
+      for (const auto& v : *tsweep_) {
+        v_min = std::min(v_min, v[static_cast<std::size_t>(node)]);
+        v_max = std::max(v_max, v[static_cast<std::size_t>(node)]);
+      }
+      const double t_span = elab_.tsweep.back() - elab_.tsweep.front();
+      return (v_max - v_min) / (v_nom * t_span) * 1e6;
+    }
     if (e.name == "gain_db") return sim::dc_gain_db(*sweep_, node);
     if (e.name == "ugf") return sim::unity_gain_freq(*sweep_, node);
     if (e.name == "pm") return sim::stable_phase_margin_deg(*sweep_, node);
@@ -225,6 +257,7 @@ class SimMeasure final : public net::MeasureHook {
   const sim::DcResult& op_;
   const sim::AcSweep* sweep_;
   const sim::TranResult* tran_;
+  const std::vector<la::Vector>* tsweep_;
   const net::Scope& scope_;
 };
 
@@ -406,11 +439,16 @@ NetlistCircuit::NetlistCircuit(net::Deck deck, const Pdk& pdk)
   }
   const net::Elaboration trial = elaborate(expert_);
   MeasureNeeds needs;
+  for (const auto& req : deck_.requirements) {
+    validate_measure(*req.measure, trial, trial_scope, needs);
+    net::eval_expr(*req.bound, trial_scope);  // throws on undefined names
+  }
   validate_measure(*objective_.measure, trial, trial_scope, needs);
   for (const auto& m : spec_measures_)
     validate_measure(*m, trial, trial_scope, needs);
   needs_ac_ = needs.ac;
   needs_tran_ = needs.tran;
+  needs_tsweep_ = needs.tsweep;
   if (needs_ac_ && !deck_.ac.present)
     throw net::NetlistError(needs.ac_loc,
                             "AC measure used but the deck has no "
@@ -419,6 +457,10 @@ NetlistCircuit::NetlistCircuit(net::Deck deck, const Pdk& pdk)
     throw net::NetlistError(needs.tran_loc,
                             "transient measure used but the deck has no "
                             "'.tran <tstep> <tstop>' line");
+  if (needs_tsweep_ && !deck_.tsweep.present)
+    throw net::NetlistError(needs.tsweep_loc,
+                            "tc_ppm used but the deck has no "
+                            "'.tsweep <T1> <T2> ...' line");
 }
 
 std::unique_ptr<NetlistCircuit> NetlistCircuit::from_file(const std::string& path,
@@ -653,6 +695,28 @@ NetlistCircuit::EvalOutcome NetlistCircuit::evaluate_single(
       }
     }
 
+    // .tsweep: warm-started DC solves in the listed temperature order.
+    std::vector<la::Vector> tsweep;
+    if (needs_tsweep_) {
+      sim::DcOptions topts = dc_opts;
+      const la::Vector* warm = &op.node_voltage;
+      tsweep.reserve(elab.tsweep.size());
+      for (const double t : elab.tsweep) {
+        topts.temp = t;
+        auto point = sim::solve_dc(elab.circuit, topts, warm);
+        out.stats.merge(point.stats);
+        if (!point.converged) {
+          obs::bo_count(obs::BoCounter::fail_dc);
+          out.failure = "temperature sweep failed at " + fmt_g(t) + " K: " +
+                        (point.reason.empty() ? "did not converge"
+                                              : point.reason);
+          return out;
+        }
+        tsweep.push_back(std::move(point.node_voltage));
+        warm = &tsweep.back();
+      }
+    }
+
     sim::TranResult tran;
     if (needs_tran_) {
       sim::TranOptions topts;
@@ -675,8 +739,17 @@ NetlistCircuit::EvalOutcome NetlistCircuit::evaluate_single(
 
     KATO_OBS_SPAN("measures");
     const SimMeasure hook(elab, op, needs_ac_ ? &sweep : nullptr,
-                          needs_tran_ ? &tran : nullptr, env);
+                          needs_tran_ ? &tran : nullptr,
+                          needs_tsweep_ ? &tsweep : nullptr, env);
     try {
+      for (const auto& req : deck_.requirements) {
+        const double value = net::eval_expr(*req.measure, env, &hook);
+        const double bound = net::eval_expr(*req.bound, env);
+        if (!(req.is_lower_bound ? value >= bound : value <= bound))
+          throw SimFailure(".require " + req.text + " failed (" +
+                           req.loc.to_string() + "): measured " +
+                           fmt_g(value));
+      }
       std::vector<double> metrics;
       metrics.reserve(1 + specs_.size());
       metrics.push_back(net::eval_expr(*objective_.measure, env, &hook));

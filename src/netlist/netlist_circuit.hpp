@@ -175,6 +175,7 @@ class NetlistCircuit final : public SizingCircuit {
   std::vector<std::pair<std::string, int>> bias_nodes_;
   bool needs_ac_ = false;
   bool needs_tran_ = false;
+  bool needs_tsweep_ = false;
 
   sim::DeviceEval device_eval_ = sim::DeviceEval::automatic;
   sim::MnaSolver solver_ = sim::MnaSolver::automatic;

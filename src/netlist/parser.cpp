@@ -48,6 +48,17 @@ class Stream {
     if (pos_ + 1 < toks_.size()) ++pos_;
     return t;
   }
+  std::size_t pos() const { return pos_; }
+  /// Raw spelling of the tokens from `from` up to the current position,
+  /// spaced only around the comparison operators.
+  std::string raw_since(std::size_t from) const {
+    std::string text;
+    for (std::size_t i = from; i < pos_; ++i) {
+      const bool cmp = toks_[i].is_punct(">=") || toks_[i].is_punct("<=");
+      text += cmp ? " " + toks_[i].raw + " " : toks_[i].raw;
+    }
+    return text;
+  }
   bool at_line_end() const {
     return peek().kind == TokKind::eol || peek().kind == TokKind::eof;
   }
@@ -581,6 +592,36 @@ class Parser {
                                            "' (supported: fixed, be)");
       }
       s_.expect_eol(".tran");
+    } else if (d == ".tsweep") {
+      if (deck_.tsweep.present)
+        throw NetlistError(head.loc, "duplicate .tsweep directive");
+      deck_.tsweep.present = true;
+      deck_.tsweep.loc = head.loc;
+      while (!s_.at_line_end()) deck_.tsweep.temps.push_back(parse_value(s_));
+      if (deck_.tsweep.temps.size() < 2)
+        throw NetlistError(head.loc,
+                           ".tsweep needs at least two temperatures");
+      s_.expect_eol(".tsweep");
+    } else if (d == ".require") {
+      RequireDef req;
+      req.loc = head.loc;
+      const std::size_t start = s_.pos();
+      req.measure = parse_expr(s_);
+      const Token& dir = s_.peek();
+      if (dir.is_punct(">="))
+        req.is_lower_bound = true;
+      else if (dir.is_punct("<="))
+        req.is_lower_bound = false;
+      else
+        throw NetlistError(dir.loc, "expected '>=' or '<=' in .require, got '" +
+                                        (dir.raw.empty() ? "end of line"
+                                                         : dir.raw) +
+                                        "'");
+      s_.next();
+      req.bound = parse_value(s_);
+      req.text = s_.raw_since(start);
+      s_.expect_eol(".require");
+      deck_.requirements.push_back(std::move(req));
     } else if (d == ".ic") {
       do {
         IcDef ic;
@@ -662,8 +703,9 @@ class Parser {
       throw NetlistError(head.loc,
                          "unknown directive '" + head.raw +
                              "' (supported: .title .nodes .param .var .model "
-                             ".subckt/.ends .ac .tran .ic .temp .spec "
-                             ".corner .mc .expert .end)");
+                             ".subckt/.ends .bias .ac .tran .tsweep .ic "
+                             ".temp .spec .require .corner .mc .expert "
+                             ".end)");
     }
   }
 

@@ -27,10 +27,14 @@
 //                                             voltages as parameters
 //   .ac dec <pts/decade> <f_lo> <f_hi>
 //   .tran <tstep> <tstop> [fixed] [be]
+//   .tsweep <T1> <T2> ...                     warm-started DC temperature
+//                                             sweep [K] (for tc_ppm)
 //   .ic v(<node>)=<value> ...
 //   .temp <kelvin>
 //   .spec objective <Name> <Unit> = <measure expr>
 //   .spec <Name> <Unit> >=|<= <bound> = <measure expr>
+//   .require <measure expr> >=|<= <bound>     validity guard: a miss fails
+//                                             the candidate
 //   .corner <name> [temp=<v>] [vdd_scale=<v>] [<param>=<v> ...]
 //   .mc <K> [vth_sigma=<v>] [beta_sigma=<v>] [quantile=<v>]
 //   .expert <pdk-name|*> <u1> ... <uD>        unit-box reference sizing
@@ -41,10 +45,10 @@
 // support + - * / ( ), SI-suffixed numbers, identifiers (.param constants,
 // .var sizing variables, subckt parameters, PDK builtins vdd/lmin/lmax/
 // is180) and the functions sqrt, abs, exp, log, pow, min, max,
-// cond(c,a,b).  Measure expressions (right of '=' in .spec) additionally
-// call isupply/ivsrc/vdc/gain_db/ugf/pm/gain_db_at and the transient
-// measures slew_rate/settling_time/overshoot/prop_delay/avg_power/vmax/vmin
-// — see netlist_circuit.hpp.
+// cond(c,a,b).  Measure expressions (right of '=' in .spec, left of the
+// bound in .require) additionally call isupply/ivsrc/vdc/gain_db/ugf/pm/
+// gain_db_at, tc_ppm and the transient measures slew_rate/settling_time/
+// overshoot/prop_delay/avg_power/vmax/vmin — see netlist_circuit.hpp.
 //
 // <waveform> on a V card is `pulse(v1 v2 td tr tf pw per)`,
 // `pwl(t1 v1 t2 v2 ...)` or `sin(vo va freq [td theta])`; arguments are
@@ -168,6 +172,26 @@ struct AcDef {
   SourceLoc loc;
 };
 
+/// The `.tsweep` card: DC temperatures [K] solved, in order and each
+/// warm-started from the previous, after the nominal analyses; feeds the
+/// tc_ppm() measure.
+struct TsweepDef {
+  bool present = false;
+  std::vector<ExprPtr> temps;
+  SourceLoc loc;
+};
+
+/// One `.require <measure expr> >=|<= <bound>` card: a validity guard that
+/// fails the candidate (as a measure failure naming the card) when the
+/// measure misses its bound.
+struct RequireDef {
+  ExprPtr measure;
+  bool is_lower_bound = true;
+  ExprPtr bound;
+  std::string text;  ///< the card after `.require`, for failure reports
+  SourceLoc loc;
+};
+
 struct TranDef {
   bool present = false;
   ExprPtr tstep;
@@ -252,11 +276,13 @@ struct Deck {
   std::vector<VarDef> vars;
   std::vector<ModelDef> models;
   std::vector<SpecDef> specs;
+  std::vector<RequireDef> requirements;
   std::vector<ExpertDef> experts;
   std::vector<CornerDef> corners;
   McDef mc;
   AcDef ac;
   TranDef tran;
+  TsweepDef tsweep;
   std::vector<IcDef> ics;
   BiasDef bias;
   ExprPtr temperature;  ///< .temp [K]; null -> 300

@@ -12,6 +12,7 @@
 #include "circuits/factory.hpp"
 #include "core/experiment.hpp"
 #include "netlist/netlist_circuit.hpp"
+#include "sim/dc.hpp"
 
 namespace ckt = kato::ckt;
 namespace net = kato::net;
@@ -329,7 +330,7 @@ TEST(NetlistDiag, UnknownMeasureListsSupportedSet) {
       5,
       "unknown measure function 'slewrate' (supported: avg_power gain_db "
       "gain_db_at isupply ivsrc overshoot pm prop_delay settling_time "
-      "slew_rate ugf value_at vdc vmax vmin)");
+      "slew_rate tc_ppm ugf value_at vdc vmax vmin)");
 }
 
 TEST(NetlistDiag, UnknownDirectiveListsSupportedSet) {
@@ -338,8 +339,8 @@ TEST(NetlistDiag, UnknownDirectiveListsSupportedSet) {
       ".noise out\n",
       2,
       "unknown directive '.noise' (supported: .title .nodes .param .var "
-      ".model "
-      ".subckt/.ends .ac .tran .ic .temp .spec .corner .mc .expert .end)");
+      ".model .subckt/.ends .bias .ac .tran .tsweep .ic .temp .spec "
+      ".require .corner .mc .expert .end)");
 }
 
 TEST(NetlistDiag, UnknownMeasureTarget) {
@@ -549,6 +550,92 @@ TEST(NetlistDiag, BiasNameCollidesWithVar) {
 TEST(NetlistDiag, BiasWithMonteCarlo) {
   expect_diag(std::string(k_bias_deck) + ".mc 4 vth_sigma=0.01\n", 6,
               ".bias cannot be combined with .mc");
+}
+
+// ---------------------------------------------------------------------------
+// Temperature sweep (.tsweep / tc_ppm) and validity guards (.require).
+
+namespace {
+
+/// Diode fed through a resistor: its forward drop falls with temperature.
+const char* const k_tsweep_deck =
+    ".var r 100k 1meg\n"          // line 1
+    "vdd vdd 0 1.8\n"
+    "r1 vdd a {r}\n"
+    "d1 a 0\n"
+    "* sweep and guard\n"
+    "* (vdc(a) is about 0.63 V at the mid-box point)\n"
+    ".tsweep 250 300 350\n"      // line 7
+    ".require vdc(a) <= 0.7\n"    // line 8
+    ".spec objective TC ppm/K = tc_ppm(a)\n"
+    ".spec V V >= 0 = vdc(a)\n";
+
+}  // namespace
+
+TEST(NetlistTsweep, TcPpmSpansNominalAndSweepPoints) {
+  const auto c = load(k_tsweep_deck);
+  const auto out = c.evaluate_detailed({0.5});
+  ASSERT_TRUE(out.metrics) << out.failure;
+
+  // Reference: the nominal point, then warm-started solves in list order.
+  const auto elab = c.elaborate({0.5});
+  const int a = elab.nodes.at("a");
+  const auto op = kato::sim::solve_dc(elab.circuit);
+  ASSERT_TRUE(op.converged);
+  double v_min = op.v(a);
+  double v_max = op.v(a);
+  kato::la::Vector warm = op.node_voltage;
+  for (double t : {250.0, 300.0, 350.0}) {
+    kato::sim::DcOptions opts;
+    opts.temp = t;
+    const auto point = kato::sim::solve_dc(elab.circuit, opts, &warm);
+    ASSERT_TRUE(point.converged);
+    warm = point.node_voltage;
+    v_min = std::min(v_min, point.v(a));
+    v_max = std::max(v_max, point.v(a));
+  }
+  EXPECT_GT(v_max, v_min);
+  EXPECT_EQ((*out.metrics)[0], (v_max - v_min) / (op.v(a) * 100.0) * 1e6);
+  EXPECT_EQ((*out.metrics)[1], op.v(a));
+  // Four DC solves: the nominal one and three sweep points.
+  EXPECT_GE(out.stats.newton_solves, 4u);
+}
+
+TEST(NetlistTsweep, RequireRejectsCandidateNamingTheCard) {
+  std::string deck = k_tsweep_deck;
+  deck.replace(deck.find("vdc(a) <= 0.7"), 13, "vdc(a) >= 0.9");
+  const auto c = load(deck);
+  const auto out = c.evaluate_detailed({0.5});
+  EXPECT_FALSE(out.metrics);
+  EXPECT_EQ(out.failure.rfind(".require vdc(a) >= 0.9 failed (test.cir:8:1): "
+                              "measured 0.",
+                              0),
+            0u)
+      << out.failure;
+}
+
+TEST(NetlistDiag, TsweepWithOnePoint) {
+  std::string deck = k_tsweep_deck;
+  deck.replace(deck.find("250 300 350"), 11, "300");
+  expect_diag(deck, 7, ".tsweep needs at least two temperatures");
+}
+
+TEST(NetlistDiag, TsweepWithNonPositiveKelvin) {
+  std::string deck = k_tsweep_deck;
+  deck.replace(deck.find("250 300 350"), 11, "250 0 350");
+  expect_diag(deck, 7, ".tsweep temperatures must be positive");
+}
+
+TEST(NetlistDiag, TcPpmWithoutTsweep) {
+  std::string deck = k_tsweep_deck;
+  deck.replace(deck.find(".tsweep 250 300 350"), 19, "* no sweep");
+  expect_diag(deck, 9, "tc_ppm used but the deck has no '.tsweep");
+}
+
+TEST(NetlistDiag, RequireWithBadOperator) {
+  std::string deck = k_tsweep_deck;
+  deck.replace(deck.find("<= 0.7"), 2, ">");
+  expect_diag(deck, 8, "expected '>=' or '<=' in .require, got '>'");
 }
 
 // ---------------------------------------------------------------------------
