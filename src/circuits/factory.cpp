@@ -3,6 +3,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "netlist/netlist_circuit.hpp"
 #include "util/env.hpp"
@@ -16,6 +17,13 @@ namespace {
 constexpr std::string_view k_this_file = "src/circuits/factory.cpp";
 static_assert(std::string_view(__FILE__).ends_with(k_this_file),
               "shipped_deck() derives the deck directory from __FILE__");
+
+/// Registered kinds and the shipped deck each one loads.
+constexpr std::pair<std::string_view, std::string_view> k_shipped_kinds[] = {
+    {"opamp2", "opamp2.cir"}, {"opamp3", "opamp3.cir"},
+    {"bandgap", "bandgap.cir"}, {"stage2", "stage2.cir"},
+    {"buffer", "buffer_tran.cir"},
+};
 
 /// Path of a deck under circuits/netlists/ of the source tree this library
 /// was compiled from.
@@ -44,22 +52,17 @@ std::string resolve_deck_path(const std::string& path) {
 std::unique_ptr<SizingCircuit> make_circuit(const std::string& kind,
                                             const std::string& node) {
   const Pdk& pdk = pdk_by_name(node);
-  if (kind == "opamp2")
-    return NetlistCircuit::from_file(shipped_deck("opamp2.cir"), pdk);
-  if (kind == "opamp3")
-    return NetlistCircuit::from_file(shipped_deck("opamp3.cir"), pdk);
-  if (kind == "bandgap")
-    return NetlistCircuit::from_file(shipped_deck("bandgap.cir"), pdk);
-  if (kind == "stage2")
-    return NetlistCircuit::from_file(shipped_deck("stage2.cir"), pdk);
-  if (kind == "buffer")
-    return NetlistCircuit::from_file(shipped_deck("buffer_tran.cir"), pdk);
+  for (const auto& [registered, deck] : k_shipped_kinds)
+    if (kind == registered)
+      return NetlistCircuit::from_file(shipped_deck(deck), pdk);
   if (kind.rfind("netlist:", 0) == 0)
     return NetlistCircuit::from_file(resolve_deck_path(kind.substr(8)), pdk);
-  throw std::invalid_argument(
-      "make_circuit: unknown kind '" + kind +
-      "'; registered kinds: opamp2, opamp3, bandgap, stage2, buffer, "
-      "netlist:<deck.cir>");
+  std::string kinds;
+  for (const auto& entry : k_shipped_kinds)
+    kinds += std::string(entry.first) + ", ";
+  throw std::invalid_argument("make_circuit: unknown kind '" + kind +
+                              "'; registered kinds: " + kinds +
+                              "netlist:<deck.cir>");
 }
 
 }  // namespace kato::ckt

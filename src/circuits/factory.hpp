@@ -4,25 +4,27 @@
 #include <memory>
 #include <string>
 
-#include "circuits/bandgap.hpp"
-#include "circuits/opamp.hpp"
+#include "circuits/pdk.hpp"
+#include "circuits/sizing_problem.hpp"
 
 namespace kato::ckt {
 
-/// Build a sizing circuit.
+/// Build a sizing circuit.  Every registered kind is a shipped deck under
+/// circuits/netlists/, loaded as a NetlistCircuit.
 ///
 /// kind:
-///   "opamp3" | "bandgap" | "stage2"   — the hand-written benchmark
-///       topologies;
-///   "opamp2"                          — the two-stage Miller OTA, loaded
-///       from the shipped deck circuits/netlists/opamp2.cir;
-///   "buffer"                          — the unity-gain step-response
-///       buffer (time-domain slew/settling specs), loaded from the shipped
-///       deck circuits/netlists/buffer_tran.cir;
-///   "netlist:<path.cir>"              — any SPICE-subset deck,
-///       elaborated through the netlist front-end.  A relative path is
-///       tried as-is, then against the KATO_NETLIST_DIR environment
-///       variable.
+///   "opamp2"   — the two-stage Miller OTA (paper Fig. 3a), opamp2.cir;
+///   "opamp3"   — the three-stage nested-Miller OpAmp (Fig. 3b), with a
+///                .bias pre-solve for its load gates, opamp3.cir;
+///   "bandgap"  — the bandgap reference (Fig. 3c, Eq. 17), TC from a
+///                .tsweep temperature sweep, bandgap.cir;
+///   "stage2"   — the single common-source stage of Fig. 1's kernel
+///                assessment, stage2.cir;
+///   "buffer"   — the unity-gain step-response buffer (time-domain
+///                slew/settling specs), buffer_tran.cir;
+///   "netlist:<path.cir>" — any SPICE-subset deck, elaborated through the
+///       netlist front-end.  A relative path is tried as-is, then against
+///       the KATO_NETLIST_DIR environment variable.
 /// node: "180nm" | "40nm".
 ///
 /// The shipped decks are found in the source tree the library was compiled

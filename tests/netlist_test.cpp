@@ -645,8 +645,13 @@ TEST(NetlistFactory, LoadsDeckAndListsKindsOnError) {
   const auto c = ckt::make_circuit("netlist:" + deck_path("opamp2.cir"), "180nm");
   EXPECT_EQ(c->name(), "netlist-opamp2-180nm");
   EXPECT_EQ(c->dim(), 8u);
-  // The registered two-stage kinds are the shipped decks.
+  // Every registered kind is a shipped deck.
   EXPECT_EQ(ckt::make_circuit("opamp2", "40nm")->name(), "netlist-opamp2-40nm");
+  EXPECT_EQ(ckt::make_circuit("opamp3", "40nm")->name(), "netlist-opamp3-40nm");
+  EXPECT_EQ(ckt::make_circuit("bandgap", "180nm")->name(),
+            "netlist-bandgap-180nm");
+  EXPECT_EQ(ckt::make_circuit("stage2", "180nm")->name(),
+            "netlist-stage2-180nm");
   EXPECT_EQ(ckt::make_circuit("buffer", "180nm")->name(),
             "netlist-buffer_tran-180nm");
 
@@ -656,8 +661,10 @@ TEST(NetlistFactory, LoadsDeckAndListsKindsOnError) {
   } catch (const std::invalid_argument& err) {
     const std::string msg = err.what();
     EXPECT_NE(msg.find("opamp9"), std::string::npos);
-    EXPECT_NE(msg.find("registered kinds"), std::string::npos);
-    EXPECT_NE(msg.find("netlist:"), std::string::npos);
+    EXPECT_NE(msg.find("registered kinds: opamp2, opamp3, bandgap, stage2, "
+                       "buffer, netlist:<deck.cir>"),
+              std::string::npos)
+        << msg;
   }
   EXPECT_THROW(ckt::make_circuit("netlist:/no/such/deck.cir", "180nm"),
                std::invalid_argument);
