@@ -36,6 +36,7 @@ constexpr SimField k_sim_fields[] = {
     {"lu_first_factors", &SimStats::lu_first_factors},
     {"lu_refactors", &SimStats::lu_refactors},
     {"lu_pivot_fallbacks", &SimStats::lu_pivot_fallbacks},
+    {"lu_symbolic", &SimStats::lu_symbolic},
     {"ac_points", &SimStats::ac_points},
     {"ac_refactors", &SimStats::ac_refactors},
     {"tran_steps_accepted", &SimStats::tran_steps_accepted},

@@ -77,6 +77,10 @@ struct SimStats {
   std::uint64_t lu_first_factors = 0;
   std::uint64_t lu_refactors = 0;
   std::uint64_t lu_pivot_fallbacks = 0;
+  /// Symbolic analyses (pattern + fill-reducing order) of the sparse LU:
+  /// one per DC/transient assembler and per AC sweep that took the sparse
+  /// path.  The dense path never moves it, so it tells the paths apart.
+  std::uint64_t lu_symbolic = 0;
   // AC sweep.
   std::uint64_t ac_points = 0;        ///< frequency points solved
   std::uint64_t ac_refactors = 0;     ///< sparse numeric refactors after the first

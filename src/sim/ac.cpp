@@ -166,6 +166,7 @@ AcSweep solve_ac(const Circuit& ckt, const DcResult& op,
 
     la::CSparseLu lu;
     lu.analyze(pattern);
+    ++sweep.stats.lu_symbolic;
     std::vector<cd> vals;
     la::CVector x;
     for (double f : freqs) {

@@ -183,6 +183,7 @@ void MnaAssembler::ensure_sparse_plan() const {
                                 : pattern.slot(r, c));
   });
   lu_.analyze(pattern);
+  ++stats_.lu_symbolic;
   values_.assign(pattern.nnz(), 0.0);
   sparse_ready_ = true;
 }

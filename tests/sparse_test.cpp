@@ -274,7 +274,10 @@ void compare_metrics(ckt::NetlistCircuit& circuit,
   const auto dense = circuit.evaluate_detailed(x);
   circuit.set_solver(sim::MnaSolver::automatic);
   // The paths agree to 1e-9, so agreement alone cannot show the setter took
-  // effect: AC refactorizations are counted only by the sparse sweep.
+  // effect: symbolic analyses (every analysis) and AC refactorizations are
+  // counted only by the sparse path.
+  EXPECT_GT(sparse.stats.lu_symbolic, 0u);
+  EXPECT_EQ(dense.stats.lu_symbolic, 0u);
   if (sparse.stats.ac_points > 0) {
     EXPECT_GT(sparse.stats.ac_refactors, 0u);
     EXPECT_EQ(dense.stats.ac_refactors, 0u);
