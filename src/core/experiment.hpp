@@ -49,8 +49,9 @@ struct TransferComparison {
 
 /// Build `source_samples` random simulations of `source_circuit` into a
 /// TransferSource and run the with/without-transfer comparison on `target`.
-/// Works for any SizingCircuit pair — hand-written topologies or netlist
-/// decks (see `make_circuit("netlist:<path>", node)`) in any combination;
+/// Works for any SizingCircuit pair — registered kinds, custom
+/// SizingCircuit subclasses or netlist decks (see
+/// `make_circuit("netlist:<path>", node)`) in any combination;
 /// this is the harness behind the Fig. 6 panels and the netlist transfer
 /// workflow.
 TransferComparison run_transfer_comparison(

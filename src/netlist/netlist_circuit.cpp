@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <exception>
 #include <set>
 #include <stdexcept>
@@ -27,13 +26,6 @@ struct SimFailure : std::exception {
 
 /// The analysis a measure reads beyond the nominal DC operating point.
 enum class Analysis { dc, ac, tran, tsweep };
-
-/// Compact rendering of a value for failure reasons ("%g").
-std::string fmt_g(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
 
 struct MeasureInfo {
   std::size_t n_args;
@@ -194,7 +186,7 @@ class SimMeasure final : public net::MeasureHook {
     if (e.name == "isupply") {
       // Branch current is positive p -> n through the source, so a supply
       // delivering current has a negative branch current; flip the sign and
-      // require delivery (matches the hand-written OpAmp benchmarks).
+      // require delivery.
       const double i = -op_.vsource_current[resolve_target(e, elab_.vsources,
                                                            "voltage source")];
       if (!(i > 0.0)) throw SimFailure("isupply(" + e.args[0]->raw +
@@ -707,7 +699,8 @@ NetlistCircuit::EvalOutcome NetlistCircuit::evaluate_single(
         out.stats.merge(point.stats);
         if (!point.converged) {
           obs::bo_count(obs::BoCounter::fail_dc);
-          out.failure = "temperature sweep failed at " + fmt_g(t) + " K: " +
+          out.failure = "temperature sweep failed at " +
+                        sim::fmt_double(t) + " K: " +
                         (point.reason.empty() ? "did not converge"
                                               : point.reason);
           return out;
@@ -748,7 +741,7 @@ NetlistCircuit::EvalOutcome NetlistCircuit::evaluate_single(
         if (!(req.is_lower_bound ? value >= bound : value <= bound))
           throw SimFailure(".require " + req.text + " failed (" +
                            req.loc.to_string() + "): measured " +
-                           fmt_g(value));
+                           sim::fmt_double(value));
       }
       std::vector<double> metrics;
       metrics.reserve(1 + specs_.size());

@@ -3,9 +3,12 @@
 //
 // The deck's `.var` lines become the DesignSpace, `.spec` lines the
 // objective and MetricSpec constraints.  Each evaluate() binds the unit-box
-// point to the sizing variables, re-elaborates the deck into a fresh
-// sim::Circuit, runs DC (then AC and/or TRAN when any measure needs them)
-// and computes the metric vector from the measure expressions:
+// point to the sizing variables, solves the `.bias` circuit first when the
+// deck has one (its named node voltages become parameters), re-elaborates
+// the deck into a fresh sim::Circuit, runs DC (then AC, the `.tsweep`
+// temperature sweep and/or TRAN when any measure needs them), checks the
+// `.require` guards and computes the metric vector from the measure
+// expressions:
 //
 //   isupply(vname)   current delivered by voltage source vname (positive =
 //                    sourcing); a non-positive value marks the design as a
@@ -17,6 +20,10 @@
 //   pm(node)         phase margin [deg] with the closed-loop stability
 //                    screen (sim::stable_phase_margin_deg)
 //   gain_db_at(node, f)  |H| in dB at the grid point nearest f
+//   tc_ppm(node)     temperature coefficient [ppm/K]: (max - min) /
+//                    (v_nom * (T_last - T_first)) * 1e6, min/max over the
+//                    nominal point and every `.tsweep` point (requires a
+//                    `.tsweep` line)
 //
 // Transient measures (require a `.tran` line; see sim/transient.hpp for the
 // exact definitions):
@@ -34,9 +41,10 @@
 // Construction validates the whole pipeline eagerly — a trial elaboration
 // at the mid-box point plus a walk of every measure expression — so decks
 // with undefined params, dangling nodes, cyclic subckts, unknown measure
-// names, AC measures without an `.ac` line or transient measures without a
-// `.tran` line fail at load time with file/line diagnostics, not
-// mid-optimization.
+// names, AC measures without an `.ac` line, transient measures without a
+// `.tran` line, tc_ppm without a `.tsweep` line or a `.bias` card naming
+// unknown nodes or colliding names fail at load time with file/line
+// diagnostics, not mid-optimization.
 //
 // Robust evaluation (.corner / .mc): each candidate expands into
 // n_corners() x n_mc_samples() independent simulations.  A `.corner` card
@@ -93,14 +101,16 @@ class NetlistCircuit final : public SizingCircuit {
 
   /// evaluate() plus a human-readable failure reason: when `metrics` is
   /// empty, `failure` says which stage rejected the candidate (DC
-  /// non-convergence carries the sim::DcResult reason, transient failures
-  /// the sim::TranResult reason, measure guards the offending measure).
+  /// non-convergence, of the bias pass, the main circuit or a sweep point,
+  /// carries the sim::DcResult reason, transient failures the
+  /// sim::TranResult reason, measure guards and `.require` cards the
+  /// offending measure or card).
   struct EvalOutcome {
     std::optional<std::vector<double>> metrics;
     std::string failure;
     /// Solver-work counters summed over every analysis this evaluation ran
-    /// (DC + AC + TRAN, and across every corner/MC condition when the deck
-    /// fans out).  Also folded into the process-wide obs registry — one
+    /// (bias DC + DC + AC + temperature sweep + TRAN, and across every
+    /// corner/MC condition when the deck fans out).  Also folded into the process-wide obs registry — one
     /// record per simulated condition — for the KATO_STATS exit dump.
     obs::SimStats stats;
   };

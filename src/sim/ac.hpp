@@ -80,8 +80,8 @@ double phase_margin_deg(const AcSweep& sweep, int out_node);
 /// |H| in dB at frequency f (nearest grid point).
 double gain_db_at(const AcSweep& sweep, int out_node, double f);
 
-/// Phase margin with the closed-loop stability screen shared by the OpAmp
-/// benchmarks and the netlist `pm()` measure: the raw margin is clamped to
+/// Phase margin with the closed-loop stability screen behind the netlist
+/// `pm()` measure (the OpAmp decks' PM spec): the raw margin is clamped to
 /// [0, 180] degrees, and a margin >= 150 degrees means the unity crossing
 /// happens through the compensation-cap feedforward path rather than the
 /// amplifying path — the open-loop PM measurement is meaningless there, and

@@ -21,8 +21,9 @@ struct DcOptions {
   double max_step = 0.5;      ///< damping: max voltage change per iteration [V]
   double temp = 300.0;        ///< simulation temperature [K]
   /// gmin continuation ladder: solve with each gmin in order, warm-starting.
-  /// The dense ladder matters: high-loop-gain circuits (the bandgap's
-  /// cascoded regulation loop) fail to track coarser continuation.
+  /// The dense ladder matters: high-loop-gain circuits (the cascoded
+  /// regulation loop of circuits/netlists/bandgap.cir) fail to track
+  /// coarser continuation.
   std::vector<double> gmin_ladder{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7,
                                   1e-8, 1e-9, 1e-10, 1e-11, 1e-12};
   /// When non-empty (index-parallel to ckt.vsources()), replaces each

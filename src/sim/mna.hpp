@@ -18,7 +18,7 @@
 // Linear solves route through one of two paths, chosen per system:
 //
 //   dense    in-place LU on a persistent workspace (la::lu_solve_into) —
-//            best for the small hand-written benchmark circuits;
+//            best for the small benchmark decks;
 //   sparse   CSC + symbolic-factorization reuse (la::SparseLu).  The stamp
 //            destinations of every device are resolved once per topology
 //            into flat value-array slots, so each Newton iteration is a

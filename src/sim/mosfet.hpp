@@ -9,7 +9,8 @@
 // (longer L -> smaller gds -> more gain; wider W -> more gm and more
 // capacitance).  Temperature enters through Vt = kT/q, mobility scaling
 // (T/300)^-1.5 and a -2 mV/K threshold drift, which is what the bandgap
-// experiment exercises.
+// deck's .tsweep temperature sweep (circuits/netlists/bandgap.cir)
+// exercises.
 //
 // Two evaluation entry points share the model:
 //

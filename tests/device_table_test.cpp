@@ -66,7 +66,7 @@ std::vector<sim::MosModel> sweep_models() {
 
 // Every temperature the shipped decks simulate at: the .corner overrides of
 // opamp2_corners/buffer_tran_corners (348 K, 273 K), the nominal 300 K, and
-// the bandgap TC sweep grid.
+// the .tsweep grid of bandgap.cir.
 const double k_deck_temps[] = {253.0, 273.0, 300.0, 323.0, 348.0, 373.0};
 
 }  // namespace
