@@ -607,18 +607,7 @@ class Parser {
       req.loc = head.loc;
       const std::size_t start = s_.pos();
       req.measure = parse_expr(s_);
-      const Token& dir = s_.peek();
-      if (dir.is_punct(">="))
-        req.is_lower_bound = true;
-      else if (dir.is_punct("<="))
-        req.is_lower_bound = false;
-      else
-        throw NetlistError(dir.loc, "expected '>=' or '<=' in .require, got '" +
-                                        (dir.raw.empty() ? "end of line"
-                                                         : dir.raw) +
-                                        "'");
-      s_.next();
-      req.bound = parse_value(s_);
+      req.is_lower_bound = parse_bound(".require", req.bound);
       req.text = s_.raw_since(start);
       s_.expect_eol(".require");
       deck_.requirements.push_back(std::move(req));
@@ -719,6 +708,21 @@ class Parser {
     return unit;
   }
 
+  /// `>=|<= <bound>` (shared by .spec constraints and .require): stores
+  /// the bound and returns true for a lower bound.
+  bool parse_bound(const char* card, ExprPtr& bound) {
+    const Token& dir = s_.peek();
+    if (!dir.is_punct(">=") && !dir.is_punct("<="))
+      throw NetlistError(dir.loc, std::string("expected '>=' or '<=' in ") +
+                                      card + ", got '" +
+                                      (dir.raw.empty() ? "end of line"
+                                                       : dir.raw) +
+                                      "'");
+    const bool lower = s_.next().is_punct(">=");
+    bound = parse_value(s_);
+    return lower;
+  }
+
   SpecDef parse_spec(const SourceLoc& loc) {
     SpecDef spec;
     spec.loc = loc;
@@ -741,15 +745,7 @@ class Parser {
     }
     spec.name = s_.next().raw;
     spec.unit = parse_spec_unit();
-    const Token& dir = s_.peek();
-    if (dir.is_punct(">="))
-      spec.is_lower_bound = true;
-    else if (dir.is_punct("<="))
-      spec.is_lower_bound = false;
-    else
-      throw NetlistError(dir.loc, "expected '>=' or '<=' in .spec constraint");
-    s_.next();
-    spec.bound = parse_value(s_);
+    spec.is_lower_bound = parse_bound(".spec constraint", spec.bound);
     if (!s_.peek().is_punct("="))
       throw NetlistError(s_.peek().loc, "expected '= <measure expr>' in .spec");
     s_.next();
