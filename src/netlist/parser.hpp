@@ -43,8 +43,8 @@
 // <value> is a bare (optionally signed) number, a parameter name, or an
 // arithmetic expression in braces/quotes: {2*w1} or '2*w1'.  Expressions
 // support + - * / ( ), SI-suffixed numbers, identifiers (.param constants,
-// .var sizing variables, subckt parameters, PDK builtins vdd/lmin/lmax/
-// is180) and the functions sqrt, abs, exp, log, pow, min, max,
+// .var sizing variables, .bias voltages, subckt parameters, PDK builtins
+// vdd/lmin/lmax/is180) and the functions sqrt, abs, exp, log, pow, min, max,
 // cond(c,a,b).  Measure expressions (right of '=' in .spec, left of the
 // bound in .require) additionally call isupply/ivsrc/vdc/gain_db/ugf/pm/
 // gain_db_at, tc_ppm and the transient measures slew_rate/settling_time/

@@ -1,12 +1,13 @@
 // Netlist front-end: lexer/parser exactness, hierarchy flattening, the
-// diagnostic contract (every rejection carries file/line), the factory's
-// deck-backed kinds, and seeded BO reproducibility on a deck (NetlistBo
-// suite — labelled slow in CTest).  The opamp2 deck's metrics are pinned
-// bit for bit through the registered kind in circuits_test
-// (FrozenMetrics).
+// node-order / bias / temperature-sweep / guard cards, the diagnostic
+// contract (every rejection carries file/line), the factory's deck-backed
+// kinds, and seeded BO reproducibility on a deck (NetlistBo suite —
+// labelled slow in CTest).  Every registered kind's metrics are pinned bit
+// for bit in circuits_test (FrozenMetrics).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuits/factory.hpp"
