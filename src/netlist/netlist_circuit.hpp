@@ -110,8 +110,9 @@ class NetlistCircuit final : public SizingCircuit {
     std::string failure;
     /// Solver-work counters summed over every analysis this evaluation ran
     /// (bias DC + DC + AC + temperature sweep + TRAN, and across every
-    /// corner/MC condition when the deck fans out).  Also folded into the process-wide obs registry — one
-    /// record per simulated condition — for the KATO_STATS exit dump.
+    /// corner/MC condition when the deck fans out).  Also folded into the
+    /// process-wide obs registry — one record per simulated condition — for
+    /// the KATO_STATS exit dump.
     obs::SimStats stats;
   };
   EvalOutcome evaluate_detailed(const std::vector<double>& unit_x) const;
