@@ -494,38 +494,36 @@ std::vector<std::optional<std::vector<double>>> NetlistCircuit::evaluate_batch(
     // Each candidate slot is a pure function of its unit-box point: the
     // worker elaborates a private sim::Circuit (with its own assembler,
     // pattern and factorization workspaces) and writes only its own slot, so
-    // any chunking of [0, n) yields bit-identical results.
+    // results are bit-identical whichever thread claims a slot.  Slots are
+    // handed out one at a time because per-design cost is heavy-tailed: a
+    // slow design then holds up only its own thread.
     // A candidate whose evaluation throws (evaluate_single converts most
     // exceptions to failure outcomes already; this is the backstop for
     // anything escaping earlier, e.g. elaboration) loses only its own slot
-    // — parallel_for would otherwise rethrow and kill the whole batch.
-    util::parallel_for(xs.size(), [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        try {
-          out[i] = evaluate_detailed(xs[i]).metrics;
-        } catch (...) {
-          out[i] = std::nullopt;
-        }
+    // — parallel_for_each would otherwise rethrow and kill the whole batch.
+    util::parallel_for_each(xs.size(), [&](std::size_t i) {
+      try {
+        out[i] = evaluate_detailed(xs[i]).metrics;
+      } catch (...) {
+        out[i] = std::nullopt;
       }
     });
     return out;
   }
   // Corner/MC fan-out: flatten candidates x conditions into one slot list
   // so even a small batch fills the pool.  Slot s is a pure function of
-  // (candidate s/fan, corner, sample) and writes only its own entry, so any
-  // chunking stays bit-identical; aggregation runs serially afterwards and
-  // matches the serial evaluate_detailed() loop exactly.
+  // (candidate s/fan, corner, sample) and writes only its own entry, so the
+  // per-slot hand-out stays bit-identical; aggregation runs serially
+  // afterwards and matches the serial evaluate_detailed() loop exactly.
   std::vector<std::optional<std::vector<double>>> conds(xs.size() * fan);
-  util::parallel_for(conds.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      const std::size_t i = s / fan;
-      const std::size_t c = (s % fan) / mc_samples_;
-      const std::size_t k = s % mc_samples_;
-      try {
-        conds[s] = evaluate_single(xs[i], c, k).metrics;
-      } catch (...) {
-        conds[s] = std::nullopt;  // same backstop as the fan == 1 path
-      }
+  util::parallel_for_each(conds.size(), [&](std::size_t s) {
+    const std::size_t i = s / fan;
+    const std::size_t c = (s % fan) / mc_samples_;
+    const std::size_t k = s % mc_samples_;
+    try {
+      conds[s] = evaluate_single(xs[i], c, k).metrics;
+    } catch (...) {
+      conds[s] = std::nullopt;  // same backstop as the fan == 1 path
     }
   });
   std::vector<std::optional<std::vector<double>>> out(xs.size());

@@ -28,13 +28,23 @@ thread_local bool t_on_pool_thread = false;
 /// would overwrite the in-flight job and orphan its unclaimed chunks.
 thread_local int t_parallel_depth = 0;
 
-/// One parallel_for invocation: a fixed chunk list plus a claim counter.
+using RangeFn = std::function<void(std::size_t, std::size_t)>;
+using ItemFn = std::function<void(std::size_t)>;
+
+/// One parallel call: n indices cut into fixed chunks of `chunk` indices
+/// (chunk c is [c * chunk, min(n, (c + 1) * chunk))) plus a claim counter.
 /// Chunk boundaries are computed by the caller (and depend only on the
 /// requested worker count), so which physical thread executes a chunk never
 /// affects results — fn writes disjoint state per chunk.
 struct Job {
-  const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  const RangeFn* range = nullptr;  ///< parallel_for: range(begin, end)
+  const ItemFn* item = nullptr;    ///< parallel_for_each: item(i), chunk 1
+  std::size_t n = 0;
+  std::size_t chunk = 1;
+  std::size_t n_chunks = 0;
+  /// Pool workers allowed to claim chunks: those with id < helpers.  Workers
+  /// spawned for an earlier, larger thread count sit this job out.
+  std::size_t helpers = 0;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::vector<std::exception_ptr> errors;
@@ -42,8 +52,8 @@ struct Job {
 
 /// Persistent worker pool.  Workers are spawned lazily up to thread_cap()-1
 /// (the caller always executes chunks too) and parked on a condition variable
-/// between jobs.  Only one job is in flight at a time: parallel_for is called
-/// from the main thread, and nested calls from workers run inline.
+/// between jobs.  Only one job is in flight at a time: submissions serialize,
+/// and nested calls from workers run inline.
 class Pool {
  public:
   static Pool& instance() {
@@ -51,7 +61,7 @@ class Pool {
     return pool;
   }
 
-  void run(const std::shared_ptr<Job>& job, std::size_t helpers) {
+  void run(const std::shared_ptr<Job>& job) {
     // One submission at a time: the pool has a single job slot, so
     // concurrent submitters (distinct non-pool threads) serialize here
     // instead of overwriting each other's in-flight job.
@@ -60,10 +70,10 @@ class Pool {
     // how many chunks were outstanding while the pool was busy, dropping
     // back to zero at completion (pool-utilization view of the fan-out).
     obs::trace_counter("pool_queue_depth",
-                       static_cast<std::uint64_t>(job->chunks.size()));
+                       static_cast<std::uint64_t>(job->n_chunks));
     {
       std::unique_lock<std::mutex> lock(mu_);
-      ensure_workers(helpers);
+      ensure_workers(job->helpers);
       job_ = job;
       ++generation_;
     }
@@ -72,7 +82,7 @@ class Pool {
     work(*job);  // the caller is a full participant
 
     std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [&] { return job->done.load() == job->chunks.size(); });
+    cv_done_.wait(lock, [&] { return job->done.load() == job->n_chunks; });
     job_.reset();
     obs::trace_counter("pool_queue_depth", 0);
   }
@@ -95,18 +105,21 @@ class Pool {
       const std::size_t id = workers_.size();
       workers_.emplace_back([this, id] {
         obs::name_this_thread("pool-worker-" + std::to_string(id + 1));
-        worker_loop();
+        worker_loop(id);
       });
     }
   }
 
   static void work(Job& job) {
-    const std::size_t n_chunks = job.chunks.size();
-    for (std::size_t c = job.next.fetch_add(1); c < n_chunks;
+    for (std::size_t c = job.next.fetch_add(1); c < job.n_chunks;
          c = job.next.fetch_add(1)) {
       KATO_OBS_SPAN("pool_chunk");
+      const std::size_t begin = c * job.chunk;
       try {
-        (*job.fn)(job.chunks[c].first, job.chunks[c].second);
+        if (job.item != nullptr)
+          (*job.item)(begin);
+        else
+          (*job.range)(begin, std::min(begin + job.chunk, job.n));
       } catch (...) {
         job.errors[c] = std::current_exception();
       }
@@ -114,7 +127,7 @@ class Pool {
     }
   }
 
-  void worker_loop() {
+  void worker_loop(std::size_t id) {
     t_on_pool_thread = true;
     std::uint64_t seen = 0;
     for (;;) {
@@ -126,7 +139,7 @@ class Pool {
         seen = generation_;
         job = job_;
       }
-      if (!job) continue;
+      if (!job || id >= job->helpers) continue;
       work(*job);
       // The mutex round-trip orders this worker's done-updates against the
       // caller's predicate check: without it the notify could fire in the
@@ -169,32 +182,61 @@ void set_thread_count(std::size_t n) {
                   std::memory_order_relaxed);
 }
 
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  std::size_t workers = thread_count();
-  if (workers > n) workers = n;
-  if (workers <= 1 || n < 2 || t_on_pool_thread || t_parallel_depth > 0) {
-    fn(0, n);
-    return;
-  }
+namespace {
 
-  // Contiguous chunks, same partition formula as the historical per-call
-  // implementation: results must depend on the chunk boundaries only through
-  // disjoint writes, never on which pool thread ran a chunk.
+/// Worker count for a call over n indices, or 0 when the call must run
+/// inline: one worker, fewer than two indices, or a nested call.
+std::size_t workers_for(std::size_t n) {
+  const std::size_t workers = std::min(thread_count(), n);
+  if (workers <= 1 || t_on_pool_thread || t_parallel_depth > 0) return 0;
+  return workers;
+}
+
+/// Run range (or item, one index per chunk) over [0, n) in chunks of
+/// `chunk` indices on min(chunks, workers) threads, the caller included, and
+/// rethrow the first failing chunk's exception.
+void dispatch(std::size_t n, std::size_t workers, std::size_t chunk,
+              const RangeFn* range, const ItemFn* item) {
   auto job = std::make_shared<Job>();
-  job->fn = &fn;
-  const std::size_t chunk = (n + workers - 1) / workers;
-  for (std::size_t begin = 0; begin < n; begin += chunk)
-    job->chunks.emplace_back(begin, std::min(begin + chunk, n));
-  job->errors.resize(job->chunks.size());
+  job->range = range;
+  job->item = item;
+  job->n = n;
+  job->chunk = chunk;
+  job->n_chunks = (n + chunk - 1) / chunk;
+  job->helpers = std::min(job->n_chunks, workers) - 1;
+  job->errors.resize(job->n_chunks);
 
   ++t_parallel_depth;
-  Pool::instance().run(job, job->chunks.size() - 1);
+  Pool::instance().run(job);
   --t_parallel_depth;
 
   for (auto& e : job->errors)
     if (e) std::rethrow_exception(e);
+}
+
+}  // namespace
+
+void parallel_for(std::size_t n, const RangeFn& fn) {
+  if (n == 0) return;
+  const std::size_t workers = workers_for(n);
+  if (workers == 0) {
+    fn(0, n);
+    return;
+  }
+  // Contiguous chunks, same partition formula as the historical per-call
+  // implementation: results must depend on the chunk boundaries only through
+  // disjoint writes, never on which pool thread ran a chunk.
+  dispatch(n, workers, (n + workers - 1) / workers, &fn, nullptr);
+}
+
+void parallel_for_each(std::size_t n, const ItemFn& fn) {
+  if (n == 0) return;
+  const std::size_t workers = workers_for(n);
+  if (workers == 0) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  dispatch(n, workers, 1, nullptr, &fn);
 }
 
 }  // namespace kato::util

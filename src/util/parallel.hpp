@@ -4,17 +4,24 @@
 //
 // Thread count comes from the KATO_THREADS environment variable, read once at
 // first use (default 1 = fully sequential, matching the library's historical
-// behavior), or from set_thread_count().  Work is
-// split into contiguous index ranges so a function that writes result[i] for
-// each i produces bit-identical output at any thread count — the property the
-// MACE proposal path and the parallel MultiGp fit rely on
+// behavior), or from set_thread_count().  Two forms hand out the work:
+//  - parallel_for splits [0, n) into at most thread_count() contiguous index
+//    ranges, for cheap uniform items (GP rows, kernel entries);
+//  - parallel_for_each hands out one index at a time, for costly items of
+//    uneven cost (one circuit simulation per slot), so a slow item holds up
+//    only the thread that claimed it.
+// Either way a function that writes result[i] for each i produces
+// bit-identical output at any thread count — the property the MACE proposal
+// path, the parallel MultiGp fit and the batch evaluation rely on
 // (tests/perf_regression_test.cpp asserts it).
 //
-// Workers live in a persistent process-wide pool: the first parallel_for call
+// Workers live in a persistent process-wide pool: the first parallel call
 // spawns them and later calls reuse them, so the per-call cost is a wakeup
-// instead of a thread spawn+join.  parallel_for called from inside a pool
-// worker runs inline (sequentially) — nested parallelism stays deterministic
-// and cannot deadlock the pool.
+// instead of a thread spawn+join.  At most thread_count() threads (the caller
+// included) work on one call, even when an earlier, larger thread count left
+// more workers parked.  A call made from inside a pool worker, or from inside
+// another call's fn, runs inline (sequentially) — nested parallelism stays
+// deterministic and cannot deadlock the pool.
 
 #include <cstddef>
 #include <functional>
@@ -43,5 +50,13 @@ void set_thread_count(std::size_t n);
 /// by fn are rethrown in the caller (first failing chunk wins).
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn);
+
+/// Invoke fn(i) once for every i in [0, n) using thread_count() workers, each
+/// claiming the next unclaimed index as it frees up.  Runs inline under the
+/// same conditions as parallel_for.  fn must only write state disjoint across
+/// indices.  Exceptions thrown by fn are rethrown in the caller (lowest
+/// failing index wins).
+void parallel_for_each(std::size_t n,
+                       const std::function<void(std::size_t)>& fn);
 
 }  // namespace kato::util

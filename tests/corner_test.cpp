@@ -1,7 +1,8 @@
 // PVT-corner and Monte Carlo mismatch workloads: .corner/.mc parsing and
 // validation diagnostics, golden hand-computed worst-over-corners /
 // quantile-over-MC aggregation, seeded MC reproducibility, bit-identity of
-// the evaluate_batch fan-out across KATO_THREADS, and evaluate_detailed
+// the evaluate_batch fan-out across KATO_THREADS (per condition and, on a
+// plain deck, per candidate), and evaluate_detailed
 // naming the failing corner/sample.  The CornerBo suite (slow label) runs
 // the corner-annotated opamp2 deck end-to-end through seeded BO on both
 // PDK nodes.
@@ -10,6 +11,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
 
 #include "circuits/factory.hpp"
 #include "core/experiment.hpp"
@@ -291,6 +295,38 @@ TEST(CornerAgg, BatchBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(direct.has_value());
     for (std::size_t mi = 0; mi < serial[i]->size(); ++mi)
       EXPECT_EQ((*serial[i])[mi], (*direct)[mi]) << "slot " << i;
+  }
+
+  // The fan == 1 path (no corner or MC cards): 7 candidates, which 4
+  // threads do not divide evenly, one of them failing on a NaN length.  The
+  // 4-thread batch must match the serial evaluate_detailed() loop bit for
+  // bit, failed slots included.
+  const auto plain = ckt::NetlistCircuit::from_file(deck_path("opamp2.cir"),
+                                                    ckt::pdk_180nm());
+  xs.clear();
+  for (int i = 0; i < 7; ++i) {
+    std::vector<double> x(plain->dim());
+    for (auto& v : x) v = rng.uniform();
+    xs.push_back(std::move(x));
+  }
+  xs[4][0] = std::numeric_limits<double>::quiet_NaN();
+  kato::util::set_thread_count(1);
+  std::vector<std::optional<std::vector<double>>> loop;
+  for (const auto& x : xs) loop.push_back(plain->evaluate_detailed(x).metrics);
+  kato::util::set_thread_count(4);
+  const auto batch = plain->evaluate_batch(xs);
+  kato::util::set_thread_count(saved);
+
+  ASSERT_EQ(batch.size(), loop.size());
+  EXPECT_FALSE(loop[4].has_value());
+  for (std::size_t i = 0; i < loop.size(); ++i) {
+    ASSERT_EQ(batch[i].has_value(), loop[i].has_value()) << "slot " << i;
+    if (!loop[i]) continue;
+    ASSERT_EQ(batch[i]->size(), loop[i]->size()) << "slot " << i;
+    EXPECT_EQ(std::memcmp(batch[i]->data(), loop[i]->data(),
+                          loop[i]->size() * sizeof(double)),
+              0)
+        << "slot " << i;
   }
 }
 

@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "bo/mace.hpp"
 #include "bo/surrogate.hpp"
@@ -378,13 +384,17 @@ TEST(ThreadedMace, UnconstrainedVariantBitIdenticalToo) {
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  kato::util::set_thread_count(5);
-  std::vector<int> hits(1001, 0);
-  kato::util::parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) hits[i] += 1;
-  });
-  kato::util::set_thread_count(1);
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1);
+  // Both forms, with n below, near and far above the 5 workers.
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 1001u}) {
+    kato::util::set_thread_count(5);
+    std::vector<int> hits(n, 0);
+    kato::util::parallel_for(n, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) hits[i] += 1;
+    });
+    kato::util::parallel_for_each(n, [&](std::size_t i) { hits[i] += 1; });
+    kato::util::set_thread_count(1);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 2) << n << " " << i;
+  }
 }
 
 TEST(ParallelFor, PropagatesExceptions) {
@@ -395,6 +405,20 @@ TEST(ParallelFor, PropagatesExceptions) {
                                  if (b == 0) throw std::runtime_error("boom");
                                }),
       std::runtime_error);
+  // Per slot, every slot runs and the lowest failing index's exception
+  // reaches the caller, which is also the first one the inline loop meets.
+  for (const std::size_t threads : {1u, 4u}) {
+    kato::util::set_thread_count(threads);
+    try {
+      kato::util::parallel_for_each(100, [](std::size_t i) {
+        if (i == 7 || i == 50 || i == 99)
+          throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "7");
+    }
+  }
   kato::util::set_thread_count(1);
 }
 
@@ -418,14 +442,41 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
   const std::size_t outer = 24;
   const std::size_t inner = 16;
   std::vector<int> hits(outer * inner, 0);
+  const auto inner_calls = [&](std::size_t i) {
+    kato::util::parallel_for(inner, [&](std::size_t jb, std::size_t je) {
+      for (std::size_t j = jb; j < je; ++j) hits[i * inner + j] += 1;
+    });
+    kato::util::parallel_for_each(
+        inner, [&](std::size_t j) { hits[i * inner + j] += 1; });
+  };
   kato::util::parallel_for(outer, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i)
-      kato::util::parallel_for(inner, [&](std::size_t jb, std::size_t je) {
-        for (std::size_t j = jb; j < je; ++j) hits[i * inner + j] += 1;
-      });
+    for (std::size_t i = b; i < e; ++i) inner_calls(i);
   });
+  kato::util::parallel_for_each(outer, inner_calls);
   kato::util::set_thread_count(1);
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 4) << i;
+}
+
+TEST(ParallelFor, PerSlotJobStaysWithinLoweredThreadCount) {
+  // A 4-thread job parks three workers in the pool.  After lowering the
+  // count to 2, a per-slot job with many more slots than threads must still
+  // run on at most 2 threads: the parked extra workers sit it out.
+  const auto threads_seen = [](std::size_t slots) {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    kato::util::parallel_for_each(slots, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    return ids.size();
+  };
+  kato::util::set_thread_count(4);
+  EXPECT_LE(threads_seen(64), 4u);
+  kato::util::set_thread_count(2);
+  for (int rep = 0; rep < 5; ++rep) EXPECT_LE(threads_seen(64), 2u);
+  kato::util::set_thread_count(1);
+  EXPECT_EQ(threads_seen(64), 1u);
 }
 
 // ---------------------------------------------------------------------------
