@@ -55,6 +55,15 @@ std::optional<CVector> lu_solve_complex(CMatrix a, CVector b);
 
 /// In-place complex variant (see lu_solve_into): `a` and `b` are clobbered,
 /// the solution lands in `x`.  Returns false when singular.
+///
+/// Pivot rule: in each column the first row of largest std::abs wins, as a
+/// plain scan would pick.  Only rows whose re^2 + im^2 is at least
+/// (1 - 1e-12) times the column's largest are measured with std::abs
+/// (hypot); every other row's magnitude is provably below the maximum.  A
+/// column with a non-finite entry, an entry with re^2 + im^2 above 1e300, or
+/// a largest re^2 + im^2 below 1e-280 measures every row.  So the pivot and
+/// the singularity test match the plain scan bit for bit
+/// (tests/scalar_oracles.hpp keeps it, and linalg_test compares the two).
 bool lu_solve_complex_into(CMatrix& a, CVector& b, CVector& x);
 
 }  // namespace kato::la

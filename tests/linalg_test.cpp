@@ -4,6 +4,8 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
@@ -458,6 +460,213 @@ TEST(TriangularKernels, KinvContractionsMatchScalarOraclesBitwise) {
       la::cholesky_inverse_into(factors[f], inv, scratch);
       EXPECT_TRUE(same_bits(inv, oracle::kinv(t)));
       EXPECT_TRUE(same_bits(scratch, x));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The complex LU measures only the rows whose squared magnitude can hold a
+// column's largest std::abs.  The plain scan it replaced is the oracle of
+// scalar_oracles.hpp: on every matrix below, including ties, 1-ulp gaps,
+// non-finite entries and extreme scales, both must return the same flag and
+// leave the same bits in x, a and b.
+
+namespace {
+
+using cd = std::complex<double>;
+
+bool same_bits(cd u, cd v) { return std::memcmp(&u, &v, sizeof(cd)) == 0; }
+
+void expect_lu_matches_oracle(const la::CMatrix& a0, const la::CVector& b0) {
+  la::CMatrix a = a0;
+  la::CVector b = b0;
+  la::CVector x;
+  la::CMatrix a_ref = a0;
+  la::CVector b_ref = b0;
+  la::CVector x_ref;
+  EXPECT_EQ(la::lu_solve_complex_into(a, b, x),
+            oracle::lu_solve_complex_into(a_ref, b_ref, x_ref));
+  ASSERT_EQ(x.size(), x_ref.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    EXPECT_TRUE(same_bits(x[i], x_ref[i])) << "x[" << i << "]";
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_TRUE(same_bits(b[i], b_ref[i])) << "b[" << i << "]";
+    for (std::size_t j = 0; j < a.cols(); ++j)
+      EXPECT_TRUE(same_bits(a(i, j), a_ref(i, j)))
+          << "a(" << i << ", " << j << ")";
+  }
+}
+
+/// G + j w C of a random 10-node circuit (conductances, capacitors and
+/// transconductances between random nodes) with two voltage-source branch
+/// rows, whose +-1 stamps tie in magnitude.
+la::CMatrix ac_like_matrix(kato::util::Rng& rng, double freq) {
+  constexpr int nodes = 10;
+  la::CMatrix a(nodes + 2, nodes + 2);
+  const double w = 2.0 * 3.141592653589793 * freq;
+  const auto node = [&] {
+    return static_cast<std::size_t>(rng.randint(0, nodes - 1));
+  };
+  for (int k = 0; k < 24; ++k) {
+    const std::size_t p = node();
+    const std::size_t q = node();
+    const cd y(std::pow(10.0, rng.uniform(-6.0, -2.0)),
+               w * std::pow(10.0, rng.uniform(-15.0, -11.0)));
+    a(p, p) += y;
+    if (p == q) continue;
+    a(q, q) += y;
+    a(p, q) -= y;
+    a(q, p) -= y;
+  }
+  for (int k = 0; k < 4; ++k)
+    a(node(), node()) += std::pow(10.0, rng.uniform(-4.0, -2.0));
+  for (std::size_t br = 0; br < 2; ++br) {
+    const std::size_t p = node();
+    a(p, nodes + br) = 1.0;
+    a(nodes + br, p) = 1.0;
+  }
+  return a;
+}
+
+la::CVector random_cvector(kato::util::Rng& rng, std::size_t n) {
+  la::CVector b(n);
+  for (auto& v : b) v = cd(rng.normal(), rng.normal());
+  return b;
+}
+
+/// Random complex matrix with standard-normal parts.
+la::CMatrix random_cmatrix(kato::util::Rng& rng, std::size_t n) {
+  la::CMatrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      a(i, j) = cd(rng.normal(), rng.normal());
+  return a;
+}
+
+}  // namespace
+
+TEST(ComplexLuPivot, AcLikeMatricesMatchOracleBitwise) {
+  kato::util::Rng rng(31);
+  for (int m = 0; m < 40; ++m) {
+    for (const double freq : {1.0, 1e3, 1e6, 1e8, 1e10}) {
+      SCOPED_TRACE(testing::Message() << "matrix " << m << " f=" << freq);
+      const la::CMatrix a = ac_like_matrix(rng, freq);
+      expect_lu_matches_oracle(a, random_cvector(rng, a.rows()));
+    }
+  }
+}
+
+TEST(ComplexLuPivot, OneUlpMagnitudeGapsMatchOracleBitwise) {
+  // Column 0 holds magnitudes 5 and its neighbours one ulp away, as pure
+  // real, pure imaginary and 3-4-5 entries, in every row order.
+  const double lo = std::nextafter(5.0, 0.0);
+  const double hi = std::nextafter(5.0, 10.0);
+  std::vector<cd> col = {cd(3, 4), cd(lo, 0), cd(0, hi), cd(-5, 0), cd(0, lo),
+                         cd(hi, 0), cd(-3, -4), cd(4, 3)};
+  const auto less = [](cd u, cd v) {
+    return std::make_pair(u.real(), u.imag()) <
+           std::make_pair(v.real(), v.imag());
+  };
+  std::sort(col.begin(), col.end(), less);
+  kato::util::Rng rng(32);
+  int perm = 0;
+  do {
+    if (perm++ % 97 != 0) continue;  // a spread of the 8! orders
+    la::CMatrix a = random_cmatrix(rng, col.size());
+    for (std::size_t r = 0; r < col.size(); ++r) a(r, 0) = col[r];
+    expect_lu_matches_oracle(a, random_cvector(rng, col.size()));
+  } while (std::next_permutation(col.begin(), col.end(), less));
+}
+
+TEST(ComplexLuPivot, ExactMagnitudeTiesMatchOracleBitwise) {
+  // z, conj(z), i z and -z have the same std::abs: the first row must win.
+  kato::util::Rng rng(33);
+  for (int m = 0; m < 50; ++m) {
+    const cd z(rng.normal(), rng.normal());
+    const cd ties[] = {z, std::conj(z), cd(0, 1) * z, -z};
+    la::CMatrix a = random_cmatrix(rng, 6);
+    for (std::size_t r = 0; r < 6; ++r)
+      for (std::size_t col = 0; col < 3; ++col)
+        a(r, col) = r < 4 ? ties[(r + col + m) % 4] : 0.1 * a(r, col);
+    expect_lu_matches_oracle(a, random_cvector(rng, 6));
+  }
+}
+
+TEST(ComplexLuPivot, NonFiniteEntriesMatchOracleBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  kato::util::Rng rng(34);
+  for (const cd bad : {cd(nan, 0), cd(0, nan), cd(inf, 0), cd(0, -inf),
+                       cd(-inf, inf), cd(nan, inf)}) {
+    for (std::size_t r = 0; r < 5; ++r) {
+      for (std::size_t col = 0; col < 5; ++col) {
+        la::CMatrix a = random_cmatrix(rng, 5);
+        a(r, col) = bad;
+        expect_lu_matches_oracle(a, random_cvector(rng, 5));
+      }
+    }
+  }
+}
+
+TEST(ComplexLuPivot, ExtremeColumnScalesMatchOracleBitwise) {
+  kato::util::Rng rng(35);
+  for (const double scale :
+       {1e-160, 1e-150, 1e-140, 1e-130, 1e130, 1e140, 1e150, 1e160}) {
+    for (std::size_t col = 0; col < 8; ++col) {
+      SCOPED_TRACE(testing::Message() << "scale " << scale << " col " << col);
+      la::CMatrix a = random_cmatrix(rng, 8);
+      for (std::size_t r = 0; r < 8; ++r) a(r, col) *= scale;
+      expect_lu_matches_oracle(a, random_cvector(rng, 8));
+    }
+  }
+}
+
+TEST(ComplexLuPivot, UnderflowedSquaresMatchOracleBitwise) {
+  // Entries near 2^-537: their squares are subnormal and order the two rows
+  // opposite to std::abs, so a cut on them would drop the true pivot row.
+  const cd pairs[][2] = {
+      {cd(0x1.5d00b15b1342p-538, 0x1.d7111bfd317e2p-538),
+       cd(0x1.9556e2ea50aa8p-538, 0x1.8ebe926498f96p-538)},
+      {cd(0x1.9871537ddb822p-536, 0x1.96b8e87325588p-536),
+       cd(0x1.0fff42fb9ecdap-536, 0x1.fb8585c0e823ep-536)},
+  };
+  for (const auto& pair : pairs) {
+    EXPECT_GT(std::abs(pair[0]), std::abs(pair[1]));
+    EXPECT_LT(std::norm(pair[0]), std::norm(pair[1]));
+    la::CMatrix a(3, 3);
+    a(0, 0) = pair[0];
+    a(1, 0) = pair[1];
+    a(0, 1) = a(1, 2) = a(2, 1) = cd(1, 1);
+    a(2, 2) = cd(2, -1);
+    expect_lu_matches_oracle(a, la::CVector(3, cd(1, 0)));
+  }
+}
+
+TEST(ComplexLuPivot, ZeroColumnMatchesOracleBitwise) {
+  kato::util::Rng rng(36);
+  for (std::size_t col = 0; col < 6; ++col) {
+    la::CMatrix a = random_cmatrix(rng, 6);
+    for (std::size_t r = 0; r < 6; ++r) a(r, col) = 0.0;
+    expect_lu_matches_oracle(a, random_cvector(rng, 6));
+  }
+}
+
+TEST(ComplexLuPivot, SingularThresholdMatchesOracleBitwise) {
+  // Pivots just below, at and just above the 1e-300 singular tolerance.
+  const double t = 1e-300;
+  for (const cd p :
+       {cd(t, 0), cd(std::nextafter(t, 0.0), 0), cd(std::nextafter(t, 1.0), 0),
+        cd(0, t), cd(0.6 * t, 0.8 * t), cd(0.8 * t, -0.6 * t),
+        cd(0.7 * t, 0.7 * t)}) {
+    for (std::size_t col = 0; col < 4; ++col) {
+      la::CMatrix a(4, 4);
+      for (std::size_t i = 0; i < 4; ++i) a(i, i) = cd(1.0 + i, 0.5);
+      a(col, col) = p;
+      expect_lu_matches_oracle(a, la::CVector(4, cd(1, -1)));
+      // The same pivot among a column of tiny entries.
+      for (std::size_t r = 0; r < 4; ++r)
+        if (r != col) a(r, col) = 0.5 * p;
+      expect_lu_matches_oracle(a, la::CVector(4, cd(1, -1)));
     }
   }
 }

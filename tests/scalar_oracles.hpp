@@ -3,9 +3,14 @@
 // replaced, kept verbatim in one place: linalg_test checks the kernels
 // against them bit for bit, and bench/micro_perf times them as the
 // reference arm of its tri_solve / lower_inverse / kinv_contract rows.
+// The complex LU with the plain std::abs pivot scan, which the prefiltered
+// pivot search of linalg/lu.cpp replaced, is kept here for the same check.
 
+#include <cmath>
+#include <complex>
 #include <cstddef>
 
+#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 
 namespace kato::scalar_oracles {
@@ -137,6 +142,47 @@ inline la::Matrix kinv(const la::Matrix& t) {
     }
   }
   return inv;
+}
+
+/// la::lu_solve_complex_into with the pivot chosen by std::abs (hypot) on
+/// every candidate row, first maximum wins.
+inline bool lu_solve_complex_into(la::CMatrix& a, la::CVector& b,
+                                  la::CVector& x) {
+  constexpr double k_singular_tol = 1e-300;
+  const std::size_t n = a.rows();
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t pivot = col;
+    double best = std::abs(a(col, col));
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double mag = std::abs(a(r, col));
+      if (mag > best) {
+        best = mag;
+        pivot = r;
+      }
+    }
+    if (best < k_singular_tol || !std::isfinite(best)) return false;
+    if (pivot != col) {
+      for (std::size_t j = 0; j < n; ++j) std::swap(a(col, j), a(pivot, j));
+      std::swap(b[col], b[pivot]);
+    }
+    const std::complex<double> inv_piv = 1.0 / a(col, col);
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const std::complex<double> factor = a(r, col) * inv_piv;
+      if (factor == std::complex<double>(0.0, 0.0)) continue;
+      a(r, col) = 0.0;
+      for (std::size_t j = col + 1; j < n; ++j) a(r, j) -= factor * a(col, j);
+      b[r] -= factor * b[col];
+    }
+  }
+  x.assign(n, std::complex<double>(0.0, 0.0));
+  for (std::size_t ii = n; ii-- > 0;) {
+    std::complex<double> s = b[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) s -= a(ii, j) * x[j];
+    x[ii] = s / a(ii, ii);
+  }
+  for (const auto& v : x)
+    if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) return false;
+  return true;
 }
 
 }  // namespace kato::scalar_oracles
